@@ -273,71 +273,10 @@ def run_scaling() -> dict:
     }
 
 
-def run_stats() -> dict:
-    """Stage-level breakdown of the flagship (diagnostic, not the
-    headline): times the extract→format→prededup Dataset prefix alone
-    (its ``ds.stats()`` summary goes to stderr), then the full pipeline
-    including exchange + sorted-layout writes — the difference is the
-    exchange/write share, which Dataset stats can't see because the
-    materialize exchange runs as raw tasks."""
-    import shutil
-
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=NUM_CPUS,
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-    from sophia_rs_ray.sources.pages import SF_PAGE_COUNTS, pages_dataset
-    from sophia_rs_ray.stages.dedup import add_spo_key, prededup_batch
-    from sophia_rs_ray.stages.extract import extract_nt_batch
-
-    n_pages = SF_PAGE_COUNTS.get(_sf(), 5000)
-    blocks = max(2 * NUM_CPUS, n_pages // 4000)
-    shutil.rmtree("/tmp/kg_bench_warm", ignore_errors=True)
-    _flagship(2000, "/tmp/kg_bench_warm", blocks=16, shards=8)  # warm
-
-    import pyarrow as _pa  # noqa: F401
-
-    t0 = time.perf_counter()
-    nt = pages_dataset(n_pages, override_num_blocks=blocks).map_batches(
-        lambda b: extract_nt_batch(b, keep=()),
-        batch_format="pyarrow", batch_size=256)
-    nt = nt.map_batches(
-        lambda b: prededup_batch(add_spo_key(b)).drop_columns(["spo_key"]),
-        batch_format="pyarrow")
-    # materialize (diagnostic mode only — the real pipeline streams)
-    # so the executed plan's per-operator stats are readable
-    mat = nt.materialize()
-    pre_rows = mat.count()
-    t_extract = time.perf_counter() - t0
-    print(mat.stats(), file=sys.stderr)
-
-    shutil.rmtree("/tmp/kg_bench_out", ignore_errors=True)
-    t0 = time.perf_counter()
-    rep = _flagship(n_pages, "/tmp/kg_bench_out", blocks=blocks)
-    t_full = time.perf_counter() - t0
-    return {
-        "metric": "kg_pipeline_stage_seconds",
-        "unit": "sec",
-        "extract_prededup_only": round(t_extract, 3),
-        "full_pipeline": round(t_full, 3),
-        "exchange_write_share": round(t_full - t_extract, 3),
-        "pre_dedup_rows": pre_rows,
-        "distinct_triples": rep["spo"]["rows"],
-        "sf": float(_sf()),
-        "num_cpus": NUM_CPUS,
-    }
-
-
 if __name__ == "__main__":
     if "--scaling-arm" in sys.argv:
         print(json.dumps(_scaling_arm()))
     elif "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
-    elif "--stats" in sys.argv:
-        print(json.dumps(run_stats()))
     else:
         print(json.dumps(run_bench()))

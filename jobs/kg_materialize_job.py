@@ -62,6 +62,19 @@ def main() -> int:
                     help="use N deterministic synthetic pages instead "
                          "of --input (local smoke/testing)")
     args = ap.parse_args()
+    # validate before any work starts: a typo'd order must not cost a
+    # cluster attach and a full extract pass
+    from sophia_rs_ray.stages.materialize import ORDERS
+
+    orders = tuple(o.strip() for o in args.orders.split(","))
+    bad = [o for o in orders if o not in ORDERS]
+    if bad:
+        ap.error(f"--orders: unknown order(s) {bad}; "
+                 f"choose from {sorted(ORDERS)}")
+    if len(set(orders)) != len(orders):
+        ap.error(f"--orders: duplicate order in {list(orders)}")
+    if args.synthetic is None and not args.input:
+        ap.error("one of --input / --synthetic is required")
 
     import ray
 
@@ -78,25 +91,23 @@ def main() -> int:
     if args.synthetic is not None:
         pages = pages_dataset(args.synthetic,
                               override_num_blocks=args.blocks)
-    elif args.input:
+    else:
         pages = rd.read_parquet(
             args.input, columns=["url", "html"],
             override_num_blocks=args.blocks)
-    else:
-        ap.error("one of --input / --synthetic is required")
 
     t0 = time.perf_counter()
     report = kg_materialize_pipeline(
         pages, args.output,
         num_shards=args.shards,
-        orders=tuple(args.orders.split(",")),
+        orders=orders,
         resume=not args.no_resume)
     dt = time.perf_counter() - t0
-    first = args.orders.split(",")[0]
+    first = orders[0]
     rows = report[first]["rows"]
     print(json.dumps({
         "job": "kg_materialize", "output": args.output,
-        "orders": args.orders, "shards": args.shards,
+        "orders": ",".join(orders), "shards": args.shards,
         "triples": rows, "sec": round(dt, 2),
         "triples_per_sec": round(rows / dt, 1) if dt else None,
         "resumed_shards": len(report[first]["skipped"]),

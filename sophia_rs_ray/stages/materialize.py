@@ -26,17 +26,18 @@ partition writes its manifest atomically AFTER its data file; a re-run
 loads manifests, verifies data files exist, and recomputes only missing
 partitions (tested by deleting one shard in tests/test_materialize.py).
 
-**Exchange.**  Default is a two-stage raw-task exchange (split blocks →
+**Exchange.**  One two-stage raw-task exchange (split blocks →
 per-partition objects → one write task per partition).  SURVEY §2
 "custom operators" option (c), chosen on measurement: Ray Data's
 sort-based ``groupby().map_groups`` exchange costs O(blocks×partitions)
 tiny objects, serializes against the upstream stage, and capped the
 8→32-CPU speedup of the flagship at ~1.3-2×; the direct hash exchange
-needs no sort and scales with the task pool.  The Dataset-native
-``groupby`` path is kept (``exchange="groupby"``) and covered by the
-same tests.  Partitioning assumption, relied on for dedup and resume: a
-triple's partition is a pure function of its content (crc32 hash) — no
-coordination, deterministic across runs.
+needs no sort and scales with the task pool.  The map side can run a
+per-block ``transform`` before it hashes (the flagship passes its
+extract + combiner there, so a page block becomes NT rows inside the
+same task that splits it).  Partitioning assumption, relied on for
+dedup and resume: a triple's partition is a pure function of its
+content (crc32 hash) — no coordination, deterministic across runs.
 
 **Scale notes.**  ``num_shards`` must grow with data (shard ≈ ≤1 GiB);
 the salt bound is per-order and static.  The digest is a *commutative*
@@ -51,7 +52,7 @@ import json
 import os
 import time
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -124,14 +125,6 @@ def shard_of(term_nt: str, num_shards: int) -> int:
     return (h >> 40) % num_shards
 
 
-def shards_of(arr, num_shards: int) -> List[int]:
-    """Batch shard ids for a pyarrow string array (vectorized)."""
-    import numpy as np
-
-    return ((_hash_arr(arr) >> np.uint64(40))
-            % np.uint64(num_shards)).astype(np.int64).tolist()
-
-
 def _row_digests(tbl: pa.Table, cols: Sequence[str]) -> int:
     """Commutative 64-bit content digest (lineage/equality checks, not
     crypto): sum over rows of hash(row)."""
@@ -172,7 +165,7 @@ def load_manifest(out_dir: str, order: str) -> Dict[Tuple[int, int], dict]:
 
 
 # ---------------------------------------------------------------------------
-# partition writer (shared by both exchanges)
+# partition writer
 # ---------------------------------------------------------------------------
 
 def _write_one_partition(tbl: pa.Table, out_dir: str, order: str,
@@ -248,7 +241,7 @@ def _report(orders: Sequence[str], written: Dict[str, Dict[Tuple[int, int], int]
 
 
 # ---------------------------------------------------------------------------
-# exchange A (default): raw-task hash exchange
+# raw-task hash exchange
 # ---------------------------------------------------------------------------
 
 def _partition_layout(orders: Sequence[str], num_shards: int,
@@ -292,13 +285,19 @@ def _decode_terms(tbl: pa.Table) -> pa.Table:
 
 def _split_block(tbl: pa.Table, orders: Tuple[str, ...], num_shards: int,
                  salts: Dict[str, int], done_keys: frozenset,
-                 intern_min: int = 1 << 62):
-    """Map side: one input block → one (possibly None) sub-table per
-    partition, returned as separate objects so each write task fetches
-    ONLY its partition.  One stable argsort + zero-copy slices per
-    order — NOT a filter per partition (that is O(partitions × rows))."""
+                 intern_min: int = 1 << 62,
+                 transform: Optional[Callable[[pa.Table], pa.Table]] = None):
+    """Map side: one input block → ``transform(block)`` (if given) →
+    one (possibly None) sub-table per partition, returned as separate
+    objects so each write task fetches ONLY its partition.  One stable
+    argsort + zero-copy slices per order — NOT a filter per partition
+    (that is O(partitions × rows))."""
     import numpy as np
 
+    if transform is not None:
+        from ray.data.block import BlockAccessor
+
+        tbl = transform(BlockAccessor.for_block(tbl).to_arrow())
     need = [c for c in ("g", "s", "p", "o")
             if any(c in _order_cols(o) for o in orders)]
     tbl = tbl.select(need)
@@ -376,8 +375,8 @@ def _combine_pieces(*parts):
 
 def _materialize_exchange(nt_ds, out_dir: str, orders: List[str],
                           num_shards: int, salts: Dict[str, int],
-                          resume: bool, distinct: bool,
-                          fanin: int = 256) -> Dict[str, dict]:
+                          resume: bool, distinct: bool, fanin: int,
+                          transform) -> Dict[str, dict]:
     import ray
 
     done = {o: (load_manifest(out_dir, o) if resume else {}) for o in orders}
@@ -392,7 +391,7 @@ def _materialize_exchange(nt_ds, out_dir: str, orders: List[str],
     write = ray.remote(_write_partition)
     # Stream blocks out of the (lazy) upstream pipeline and launch each
     # block's split task the moment the block materializes — the map
-    # side of the exchange overlaps the extract stage instead of
+    # side of the exchange overlaps the upstream stage instead of
     # waiting behind a full-dataset barrier (to_arrow_refs()).  Only
     # the reduce (write) side runs after the last block.
     combine = ray.remote(_combine_pieces)
@@ -414,19 +413,15 @@ def _materialize_exchange(nt_ds, out_dir: str, orders: List[str],
 
     from ..functions.exchange import intern_threshold
 
-    intern_min = intern_threshold()
-    n_blocks = 0
+    args = (tuple(orders), num_shards, salts, done_keys,
+            intern_threshold(), transform)
     try:
         for bundle in nt_ds.iter_internal_ref_bundles():
             for r in bundle.block_refs:
-                n_blocks += 1
-                feed(split.remote(r, tuple(orders), num_shards, salts,
-                                  done_keys, intern_min))
+                feed(split.remote(r, *args))
     except AttributeError:  # older Ray: no streaming ref API
         for r in nt_ds.to_arrow_refs():
-            n_blocks += 1
-            feed(split.remote(r, tuple(orders), num_shards, salts,
-                              done_keys, intern_min))
+            feed(split.remote(r, *args))
 
     futures = {}
     for j, (oi, shard, salt) in enumerate(layout):
@@ -443,97 +438,35 @@ def _materialize_exchange(nt_ds, out_dir: str, orders: List[str],
     return _report(orders, written, done)
 
 
-# ---------------------------------------------------------------------------
-# exchange B: Dataset-native groupby (reference path)
-# ---------------------------------------------------------------------------
-
-def _materialize_groupby(nt_ds, out_dir: str, orders: List[str],
-                         num_shards: int, salts: Dict[str, int],
-                         resume: bool, distinct: bool) -> Dict[str, dict]:
-    """Single-pass ``groupby((order, shard, salt)).map_groups`` over the
-    exploded rows — the pure-Dataset expression of the same exchange."""
-    done = {o: (load_manifest(out_dir, o) if resume else {}) for o in orders}
-    for o in orders:
-        os.makedirs(os.path.join(out_dir, o), exist_ok=True)
-    done_sets = {oi: frozenset(done[o]) for oi, o in enumerate(orders)}
-
-    def explode(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        need = [c for c in ("g", "s", "p", "o")
-                if any(c in _order_cols(o) for o in orders)]
-        b = b.select(need)
-        parts = []
-        for oi, order in enumerate(orders):
-            cols = _order_cols(order)
-            lead, rest = cols[0], cols[1:]
-            n_salt = salts.get(order, 1)
-            sh = shards_of(b[lead], num_shards)
-            if n_salt > 1:
-                joined = pc.binary_join_element_wise(
-                    *[pc.cast(b[c], pa.string()) for c in rest],
-                    pa.scalar("\x1f"))
-                sa = ((_hash_arr(joined) >> np.uint64(24))
-                      % np.uint64(n_salt)).astype(np.int64).tolist()
-            else:
-                sa = [0] * b.num_rows
-            t = (b.append_column("ord", pa.array([oi] * b.num_rows, pa.int8()))
-                  .append_column("shard", pa.array(sh, pa.int32()))
-                  .append_column("salt", pa.array(sa, pa.int32())))
-            skip = done_sets[oi]
-            if skip:
-                keep = pa.array([(s, a) not in skip for s, a in zip(sh, sa)])
-                t = t.filter(keep)
-            parts.append(t)
-        return pa.concat_tables(parts)
-
-    def write_group(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"ord": pa.array([], pa.int8()),
-                             "shard": pa.array([], pa.int32()),
-                             "salt": pa.array([], pa.int32()),
-                             "rows": pa.array([], pa.int64())})
-        oi = group["ord"][0].as_py()
-        row = _write_one_partition(group, out_dir, orders[oi],
-                                   group["shard"][0].as_py(),
-                                   group["salt"][0].as_py(), distinct)
-        return pa.table({"ord": pa.array([oi], pa.int8()),
-                         "shard": pa.array([row["shard"]], pa.int32()),
-                         "salt": pa.array([row["salt"]], pa.int32()),
-                         "rows": pa.array([row["rows"]], pa.int64())})
-
-    out = (nt_ds.materialize()
-           .map_batches(explode, batch_format="pyarrow")
-           .groupby(["ord", "shard", "salt"])
-           .map_groups(write_group, batch_format="pyarrow"))
-    written: Dict[str, Dict[Tuple[int, int], int]] = {o: {} for o in orders}
-    for r in out.take_all():
-        written[orders[r["ord"]]][(r["shard"], r["salt"])] = r["rows"]
-    return _report(orders, written, done)
-
-
 def materialize_graph(nt_ds, out_dir: str, *,
                       orders: Sequence[str] = ("spo", "pos", "osp"),
                       num_shards: int = 16,
                       salts: Optional[Dict[str, int]] = None,
                       resume: bool = True,
                       distinct: bool = False,
-                      exchange: str = "tasks",
-                      fanin: int = 256) -> Dict[str, dict]:
+                      fanin: int = 256,
+                      transform: Optional[Callable[[pa.Table], pa.Table]]
+                      = None) -> Dict[str, dict]:
     """(s, p, o) NT rows → the sorted shard layouts. Returns a report
     ``{order: {"written": [(shard, salt), …], "skipped": […], "rows": N}}``.
 
     ``distinct=True`` folds SetGraph dedup (``inmem/src/graph.rs:111-143``)
     into the partition writer: identical triples always hash to the same
     partition (the key is a pure content hash), so within-partition
-    dedup IS global dedup."""
+    dedup IS global dedup.
+
+    ``transform``, when given, maps each block of ``nt_ds`` to the
+    (s, p, o[, g]) rows the exchange splits, inside the exchange's map
+    task — so ``nt_ds`` may hold any rows ``transform`` understands
+    (the flagship hands pages and ``pipelines.kg.extract_prededup_block``).
+    It is the counterpart of ``functions.exchange.hash_aggregate``'s
+    ``combine``: runs once per input block, must be picklable (a
+    module-level function or a ``functools.partial`` of one), and on
+    ``distinct=True`` may drop duplicates within its block since the
+    writer's dedup stays the exact one."""
     salts = dict(DEFAULT_SALTS if salts is None else salts)
-    orders = list(orders)
-    if exchange == "tasks":
-        return _materialize_exchange(nt_ds, out_dir, orders, num_shards,
-                                     salts, resume, distinct, fanin=fanin)
-    return _materialize_groupby(nt_ds, out_dir, orders, num_shards,
-                                salts, resume, distinct)
+    return _materialize_exchange(nt_ds, out_dir, list(orders), num_shards,
+                                 salts, resume, distinct, fanin, transform)
 
 
 # ---------------------------------------------------------------------------
