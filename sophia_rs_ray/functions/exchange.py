@@ -237,19 +237,32 @@ class _MergeTree:
         return [r for lv in self.levels[j] for r in lv]
 
 
-def _iter_block_refs(ds):
-    """Yield the Dataset's block ObjectRefs as they materialize
-    (streaming — the driver never pins the full block list; each ref
-    is dropped once its split task holds it).  Falls back to the
-    barrier ``to_arrow_refs()`` on Ray versions without the streaming
-    ref API."""
+def _iter_block_refs(src):
+    """Yield the input's block ObjectRefs: a list of refs as given, a
+    Dataset's as they materialize (streaming — the driver never pins
+    the full block list; each ref is dropped once its split task holds
+    it).  Falls back to the barrier ``to_arrow_refs()`` on Ray versions
+    without the streaming ref API."""
+    if isinstance(src, (list, tuple)):
+        yield from src
+        return
     try:
-        bundles = ds.iter_internal_ref_bundles()
+        bundles = src.iter_internal_ref_bundles()
     except AttributeError:  # older Ray
-        yield from ds.to_arrow_refs()
+        yield from src.to_arrow_refs()
         return
     for bundle in bundles:
         yield from bundle.block_refs
+
+
+def _empty_input(src, fetch: bool) -> Optional[pa.Table]:
+    """A 0-row table of the input Dataset's schema; None for a list of
+    block refs or an unknown schema."""
+    if isinstance(src, (list, tuple)):
+        return None
+    sch = src.schema(fetch_if_missing=fetch)
+    return None if sch is None else pa.table(
+        {n: pa.array([], t) for n, t in zip(sch.names, sch.types)})
 
 
 def _reduce_side(finalize, fallback, *parts):
@@ -278,20 +291,24 @@ def _reduce_side(finalize, fallback, *parts):
     return finalize(t) if finalize is not None else t
 
 
-def hash_aggregate(ds, key_cols: Sequence[str],
-                   combine: Optional[Callable[[pa.Table], pa.Table]],
-                   finalize: Optional[Callable[[pa.Table], pa.Table]],
-                   *, num_partitions: Optional[int] = None,
-                   fanin: int = 256):
-    """Exact per-key aggregation via the raw-task hash exchange.
+def hash_aggregate_refs(src, key_cols: Sequence[str],
+                        combine: Optional[Callable[[pa.Table], pa.Table]],
+                        finalize: Optional[Callable[[pa.Table], pa.Table]],
+                        *, num_partitions: Optional[int] = None,
+                        fanin: int = 256) -> list:
+    """Exact per-key aggregation via the raw-task hash exchange over a
+    Dataset or a list of block ObjectRefs → one ObjectRef per hash
+    partition (a ``pa.Table`` each).  Chaining exchanges on these refs,
+    or reading a bounded result with :func:`gather`, skips the fixed
+    cost of a Ray Data execution per step.
 
     ``num_partitions=None`` (default) sizes the exchange from the
-    input via :func:`auto_partitions`; pass an explicit int to pin it.
+    input via :func:`auto_partitions` (its default for refs input).
 
     ``combine`` runs once per input block (partial aggregate — MUST
     keep the key columns); ``finalize`` runs once per hash partition
     over the concatenated partials (final aggregate).  Either may be
-    None (identity).  Returns a Dataset of the finalize outputs.
+    None (identity).
 
     Per-partition merge tree (same shape as materialize.py's): piece
     refs collapse ``fanin`` at a time through ``_merge_pieces`` nodes,
@@ -303,10 +320,9 @@ def hash_aggregate(ds, key_cols: Sequence[str],
     single level and the plan is identical to the direct exchange.
     """
     import ray
-    import ray.data as rd
 
     if num_partitions is None:
-        num_partitions = auto_partitions(ds)
+        num_partitions = auto_partitions(src)
     split = ray.remote(num_returns=num_partitions)(_map_side) \
         if num_partitions > 1 else ray.remote(_map_side)
     reduce = ray.remote(_reduce_side)
@@ -333,18 +349,17 @@ def hash_aggregate(ds, key_cols: Sequence[str],
     # launch each block's map-side split the moment the block
     # materializes: the exchange overlaps the producing stage instead
     # of waiting behind a full-dataset to_arrow_refs() barrier
-    for r in _iter_block_refs(ds):
+    for r in _iter_block_refs(src):
         feed(r)
 
     if not n_blocks:
         # zero-block input: derive the output schema from the fns on an
         # empty batch so downstream operators keep working
-        schema = ds.schema()
-        empty = pa.table({n: pa.array([], t)
-                          for n, t in zip(schema.names, schema.types)})
-        t = combine(empty) if combine is not None else empty
+        t = _empty_input(src, True)
+        t = pa.table({}) if t is None else t
+        t = combine(t) if combine is not None else t
         t = finalize(t) if finalize is not None else t
-        return rd.from_arrow(t)
+        return [ray.put(t)]
     # all-empty-partition fallback: a driver-side combined empty (most
     # combine fns synthesize their output columns on a 0-row input)
     fallback = None
@@ -354,19 +369,49 @@ def hash_aggregate(ds, key_cols: Sequence[str],
         fallback = None
     if fallback is None:
         try:
-            sch = ds.schema(fetch_if_missing=False)
+            fallback = _empty_input(src, False)
+            if fallback is not None and combine is not None:
+                fallback = combine(fallback)
         except Exception:
-            sch = None
-        if sch is not None:
-            try:
-                empty = pa.table({n: pa.array([], t)
-                                  for n, t in zip(sch.names, sch.types)})
-                fallback = combine(empty) if combine is not None else empty
-            except Exception:
-                fallback = None
-    out_refs = [reduce.remote(finalize, fallback, *tree.remaining(j))
-                for j in range(num_partitions)]
-    return rd.from_arrow_refs(out_refs)
+            fallback = None
+    return [reduce.remote(finalize, fallback, *tree.remaining(j))
+            for j in range(num_partitions)]
+
+
+def hash_aggregate(ds, key_cols: Sequence[str],
+                   combine: Optional[Callable[[pa.Table], pa.Table]],
+                   finalize: Optional[Callable[[pa.Table], pa.Table]],
+                   *, num_partitions: Optional[int] = None,
+                   fanin: int = 256):
+    """:func:`hash_aggregate_refs` as a Dataset of the finalize
+    outputs."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(hash_aggregate_refs(
+        ds, key_cols, combine, finalize, num_partitions=num_partitions,
+        fanin=fanin))
+
+
+def gather(refs) -> pa.Table:
+    """Pull a bounded exchange result (partition refs) to the driver as
+    one table — the one driver-side read of an exchange output; the
+    caller owns the size bound."""
+    import ray
+
+    return _reduce_side(None, None, *ray.get(list(refs)))
+
+
+def _apply(fn, t):
+    return fn(t)
+
+
+def map_partitions(refs, fn) -> list:
+    """``fn`` over each partition table where it lives → the (small)
+    results on the driver, e.g. row counts for a broadcast gate."""
+    import ray
+
+    task = ray.remote(_apply)
+    return ray.get([task.remote(fn, r) for r in refs])
 
 
 def grouped_sum(ds, keys: Sequence[str], cols: Sequence[str], *,

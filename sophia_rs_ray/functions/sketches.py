@@ -1,10 +1,11 @@
 """Mergeable streaming sketches: HyperLogLog + Count-Min.
 
-The 100-TB primitives for corpus statistics: both sketches are
-per-batch partials that merge associatively through the hash exchange
-(HLL: per-bucket MAX of ranks; CMS: per-cell SUM), so the wire cost is
-the fixed sketch size regardless of corpus size — no distinct-token
-exchange at all.
+The 100-TB primitives for corpus statistics: both sketches merge
+associatively (HLL: per-bucket MAX of ranks; CMS: per-cell SUM), so a
+merged sketch is the fixed sketch size regardless of corpus size.  HLL
+partials are per batch, so its exchange carries no distinct tokens at
+all; CMS counters are derived from exact token counts
+(:func:`cms_cells`), one sketch per token partition.
 
 Both are DETERMINISTIC (md5-derived hashes, no RNG) and built from
 exact integer / binary-fraction arithmetic, so the DuckDB oracles in
@@ -97,27 +98,17 @@ def hll_estimate(buckets: np.ndarray, maxranks: np.ndarray) -> dict:
             "nonzero_buckets": nonzero, "m": HLL_M}
 
 
-def cms_partial_batch(b: pa.Table) -> pa.Table:
-    """(doc_id, text) → per-batch CMS partial: (row, cell, c) counter
-    increments over every token OCCURRENCE.  cell(row, tok) =
-    md5(f"{row}:{tok}") % w (vectorized md5).  ≤ d·w rows out per
-    batch — mergeable by per-cell SUM."""
-    import polars as pl
-
-    from .text import TOKEN_RE2, _pl_docs
-
-    cnt = (_pl_docs(b)
-           .select(pl.col("text").str.extract_all(TOKEN_RE2)
-                   .alias("tok"))
-           .explode("tok", empty_as_null=True)
-           .drop_nulls("tok")
-           .group_by("tok").len(name="c")
-           .to_arrow())
-    toks = cnt["tok"].cast(pa.string())
-    c = cnt["c"].cast(pa.int64())
-    parts = []
+def cms_cells(counts: pa.Table) -> pa.Table:
+    """Exact (tok, c) occurrence counts → their Count-Min counters
+    (row, cell, c): cell(row, tok) = md5(f"{row}:{tok}") % w
+    (vectorized md5), c summed per cell.  ≤ d·w rows out for any number
+    of tokens, and mergeable by per-cell SUM — so the sketch of a
+    corpus is the per-cell sum of its token partitions' sketches."""
     import pyarrow.compute as pc
 
+    toks = counts["tok"].cast(pa.string())
+    c = counts["c"].cast(pa.int64())
+    parts = []
     for row in range(CMS_D):
         salted = pc.binary_join_element_wise(
             pa.array([f"{row}:"] * len(toks), pa.string()),

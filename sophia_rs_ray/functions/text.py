@@ -393,6 +393,25 @@ def token_tf_batch(b: pa.Table) -> pa.Table:
                      "tf": out["tf"].cast(pa.int64())})
 
 
+def token_freq_batch(b: pa.Table) -> pa.Table:
+    """(text) → corpus token occurrence counts of the batch as (tok, c)
+    rows — the per-block partial of every exact vocabulary count;
+    partials merge by SUM.  Vectorized polars: tokenize → explode →
+    group count."""
+    import polars as pl
+
+    out = (pl.from_arrow(b.select(["text"]))
+           .select(pl.col("text").fill_null("")
+                   .str.extract_all(TOKEN_RE2).alias("tok"))
+           .explode("tok", empty_as_null=True)
+           .drop_nulls("tok")
+           .group_by("tok")
+           .len(name="c")
+           .to_arrow())
+    return pa.table({"tok": out["tok"].cast(pa.string()),
+                     "c": out["c"].cast(pa.int64())})
+
+
 #: fixed token-window size standing in for paragraph boundaries — the
 #: bench corpus has no newlines, so segmentation is deterministic token
 #: windows; swap the splitter for '\n\n' chunks on real crawl text.
@@ -478,26 +497,6 @@ def chunk_docs_batch(b: pa.Table) -> pa.Table:
                      "chunk": out["chunk"].cast(pa.string())})
 
 
-def bigram_tf_batch(b: pa.Table) -> pa.Table:
-    """(doc_id, text) → per-batch PARTIAL bigram counts (bigram, c),
-    every occurrence counted (multiplicity kept, unlike
-    :func:`bigram_pairs_batch`'s per-doc distinct) — the combiner-side
-    map of bigram-LM training.  Vectorized polars: tokenize →
-    adjacent-shift concat → explode → group count."""
-    import polars as pl
-
-    bigram = (pl.element() + " " + pl.element().shift(-1)).drop_nulls()
-    out = (_pl_docs(b)
-           .select(pl.col("text").str.extract_all(TOKEN_RE2)
-                   .list.eval(bigram).alias("bigram"))
-           .explode("bigram", empty_as_null=True)
-           .drop_nulls("bigram")
-           .group_by("bigram").len(name="c")
-           .to_arrow())
-    return pa.table({"bigram": out["bigram"].cast(pa.string()),
-                     "c": out["c"].cast(pa.int64())})
-
-
 def doc_bigram_batch(b: pa.Table) -> pa.Table:
     """(doc_id, text) → (doc_id, bigram) per OCCURRENCE (duplicates
     kept) — the scoring side of the bigram LM's distributed-join plan."""
@@ -513,21 +512,6 @@ def doc_bigram_batch(b: pa.Table) -> pa.Table:
            .to_arrow())
     return pa.table({"doc_id": out["doc_id"].cast(b["doc_id"].type),
                      "bigram": out["bigram"].cast(pa.string())})
-
-
-def distinct_tokens_batch(b: pa.Table) -> pa.Table:
-    """(doc_id, text) → per-batch distinct (tok,) rows — the combiner
-    side of corpus vocabulary counting (|V| for LM smoothing)."""
-    import polars as pl
-
-    out = (_pl_docs(b)
-           .select(pl.col("text").str.extract_all(TOKEN_RE2)
-                   .alias("tok"))
-           .explode("tok", empty_as_null=True)
-           .drop_nulls("tok")
-           .unique()
-           .to_arrow())
-    return pa.table({"tok": out["tok"].cast(pa.string())})
 
 
 #: DSIR importance-weight target slice: the "high-quality target

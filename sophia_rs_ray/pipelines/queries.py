@@ -528,51 +528,53 @@ LEFT JOIN bf ON d.doc_id = bf.doc_id
 """
 
 
-def _quality_filter(sf_dir: str):
-    """Composed Gopher-style quality FILTER (Rae et al. 2021 §A1.1):
-    join the vectorized quality + repetition feature stages on doc_id
-    (exchange hash join) and keep documents passing all thresholds —
+def _gopher_kept(b: pa.Table) -> pa.Table:
+    """(doc_id, text) block → its documents passing the Gopher-style
+    quality filter (Rae et al. 2021 §A1.1) as (doc_id, text, n_tokens):
     token count in [40, 100k], mean token length in (2, 12), alpha
     ratio > 0.6, duplicate-token fraction < 0.9, top-bigram fraction
-    < 0.18.  All ratio comparisons are integer cross-multiplications,
-    so the oracle is hash-exact (no float rounding)."""
-    import ray.data as rd
-
+    < 0.18.  The quality and repetition features are computed over the
+    same block rows (a document lives whole in one block — no join),
+    and every ratio comparison is an integer cross-multiplication, so
+    the oracle is hash-exact (no float rounding)."""
     from ..functions.text import quality_batch, repetition_batch
+
+    q = quality_batch(b)
+    r = repetition_batch(b)
+    nt = q["n_tokens"]
+    tc = q["token_chars"]
+    al = q["alpha_chars"]
+    nc = q["n_chars"]
+    nd = r["n_distinct"]
+    bg = r["top_bigram_count"]
+    m = pc.and_(pc.greater_equal(nt, pa.scalar(40)),
+                pc.less_equal(nt, pa.scalar(100_000)))
+    # 2 < mean token len < 12  ⇔  2·n_tokens < token_chars < 12·n_tokens
+    m = pc.and_(m, pc.greater(tc, pc.multiply(nt, pa.scalar(2))))
+    m = pc.and_(m, pc.less(tc, pc.multiply(nt, pa.scalar(12))))
+    # alpha ratio > 0.6  ⇔  5·alpha > 3·n_chars
+    m = pc.and_(m, pc.greater(pc.multiply(al, pa.scalar(5)),
+                              pc.multiply(nc, pa.scalar(3))))
+    # dup fraction < 0.9  ⇔  n_tokens - n_distinct < 0.9·n_tokens
+    #                     ⇔  10·n_distinct > n_tokens
+    m = pc.and_(m, pc.greater(pc.multiply(nd, pa.scalar(10)), nt))
+    # top-bigram fraction < 0.18  ⇔  50·top_bigram < 9·n_tokens
+    m = pc.and_(m, pc.less(pc.multiply(bg, pa.scalar(50)),
+                           pc.multiply(nt, pa.scalar(9))))
+    return pa.table({"doc_id": b["doc_id"], "text": b["text"],
+                     "n_tokens": nt}).filter(m)
+
+
+def _quality_filter(sf_dir: str):
+    """Composed Gopher-style quality FILTER: one stateless map of
+    :func:`_gopher_kept` over the documents → (doc_id, n_tokens)."""
+    import ray.data as rd
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
-    q = ds.map_batches(quality_batch, batch_format="pyarrow")
-    r = ds.map_batches(repetition_batch, batch_format="pyarrow") \
-        .map_batches(lambda b: b.drop_columns(["n_tokens"]),
-                     batch_format="pyarrow")
-    j = safe_join(q, r, "inner", 4, on=("doc_id",))
-
-    def keep(b: pa.Table) -> pa.Table:
-        nt = b["n_tokens"]
-        tc = b["token_chars"]
-        al = b["alpha_chars"]
-        nc = b["n_chars"]
-        nd = b["n_distinct"]
-        bg = b["top_bigram_count"]
-        m = pc.and_(pc.greater_equal(nt, pa.scalar(40)),
-                    pc.less_equal(nt, pa.scalar(100_000)))
-        # 2 < mean token len < 12  ⇔  2·n_tokens < token_chars < 12·n_tokens
-        m = pc.and_(m, pc.greater(tc, pc.multiply(nt, pa.scalar(2))))
-        m = pc.and_(m, pc.less(tc, pc.multiply(nt, pa.scalar(12))))
-        # alpha ratio > 0.6  ⇔  5·alpha > 3·n_chars
-        m = pc.and_(m, pc.greater(pc.multiply(al, pa.scalar(5)),
-                                  pc.multiply(nc, pa.scalar(3))))
-        # dup fraction < 0.9  ⇔  n_tokens - n_distinct < 0.9·n_tokens
-        #                     ⇔  10·n_distinct > n_tokens
-        m = pc.and_(m, pc.greater(pc.multiply(nd, pa.scalar(10)), nt))
-        # top-bigram fraction < 0.18  ⇔  50·top_bigram < 9·n_tokens
-        m = pc.and_(m, pc.less(pc.multiply(bg, pa.scalar(50)),
-                               pc.multiply(nt, pa.scalar(9))))
-        f = b.filter(m)
-        return pa.table({"doc_id": f["doc_id"], "n_tokens": f["n_tokens"]})
-
-    return j.map_batches(keep, batch_format="pyarrow")
+    return ds.map_batches(
+        lambda b: _gopher_kept(b).select(["doc_id", "n_tokens"]),
+        batch_format="pyarrow")
 
 
 QUALITY_FILTER_SQL = r"""
@@ -1461,21 +1463,21 @@ def _tfidf_top_terms(sf_dir: str):
     result is deterministic and bit-compares against the SQL oracle.
 
     Plan (two exchanges, no broadcast, no driver pull):
-      per-doc (tok, tf) counts (stateless vectorized map; exact
-      because a doc lives in one batch) → hash exchange on tok →
+      per-doc (tok, tf) counts (the first exchange's per-block combine;
+      exact because a doc lives in one block) → hash exchange on tok →
       per-partition df = distinct-doc count per token (co-partitioned,
       so the partition count IS the corpus df) attached as a column →
-      second hash exchange on doc_id → per-doc window rank + top-k.
+      second hash exchange on doc_id, fed the first one's partition
+      refs → per-doc window rank + top-k.
     Scale: stop-word-hot tokens concentrate rows in one partition but
     the per-partition work is a linear window count, no pairing."""
     import ray.data as rd
 
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import hash_aggregate, hash_aggregate_refs
     from ..functions.text import token_tf_batch
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    tf = docs.map_batches(token_tf_batch, batch_format="pyarrow")
 
     def attach_df(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -1484,7 +1486,7 @@ def _tfidf_top_terms(sf_dir: str):
                               .cast(pl.Int64).alias("df"))
                 .to_arrow())
 
-    with_df = hash_aggregate(tf, ["tok"], None, attach_df)
+    with_df = hash_aggregate_refs(docs, ["tok"], token_tf_batch, attach_df)
 
     def topk(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -1590,7 +1592,7 @@ def _source_mixture(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import gather, hash_aggregate_refs
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "source"])
@@ -1609,9 +1611,9 @@ def _source_mixture(sf_dir: str):
         return t.group_by(["source"]).aggregate([("n", "sum")]) \
             .rename_columns(["source", "n"])
 
-    counts = {r["source"]: r["n"] for r in hash_aggregate(
-        docs.map_batches(part_counts, batch_format="pyarrow"),
-        ["source"], merge_counts, merge_counts).take_all()}
+    c = gather(hash_aggregate_refs(docs, ["source"], part_counts,
+                                   merge_counts))
+    counts = dict(zip(c["source"].to_pylist(), c["n"].to_pylist()))
 
     def w_of(s: str) -> int:
         return int(hashlib.md5(s.encode()).hexdigest()[:8], 16) % 5 + 1
@@ -1690,53 +1692,36 @@ SELECT DISTINCT s, p, o FROM u
 """
 
 
+def _token_totals(t: pa.Table) -> pa.Table:
+    """(tok, c) partials → one summed row per token."""
+    return (t.group_by(["tok"]).aggregate([("c", "sum")])
+            .rename_columns(["tok", "c"]))
+
+
+def _top_tokens(t: pa.Table, k: int) -> pa.Table:
+    """The k (tok, c) rows first by (c desc, tok asc)."""
+    idx = pc.sort_indices(t, sort_keys=[("c", "descending"),
+                                        ("tok", "ascending")])
+    return t.take(idx[:k])
+
+
 def _vocab_top_terms(sf_dir: str, k: int = 100):
-    """Corpus vocabulary build: global token frequencies via per-batch
-    Counter partials → ONE hash exchange on the token → exact top-k by
-    (count desc, token asc).  The classic first step of tokenizer /
-    TF-IDF training at corpus scale; only |vocab| rows ever shuffle."""
+    """Corpus vocabulary build: per-block token counts → ONE hash
+    exchange on the token → exact top-k by (count desc, token asc).
+    The classic first step of tokenizer / TF-IDF training at corpus
+    scale; only |vocab| rows ever shuffle.  Each partition holds its
+    tokens' FULL counts, so its local top-k is a superset of its share
+    of the global top-k: the driver reads ≤ partitions·k rows."""
     import ray.data as rd
 
-    from ..functions.exchange import hash_aggregate
-    from ..functions.text import TOKEN_RE2
+    from ..functions.exchange import gather, hash_aggregate_refs
+    from ..functions.text import token_freq_batch
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        # vectorized token histogram: polars tokenize/explode/count in
-        # Rust (was a per-token Python Counter loop)
-        import polars as pl
-
-        out = (pl.from_arrow(b.select(["text"]))
-               .select(pl.col("text").fill_null("")
-                       .str.extract_all(TOKEN_RE2).alias("token"))
-               .explode("token", empty_as_null=False).drop_nulls("token")
-               .group_by("token").len()
-               .to_arrow())
-        return pa.table({"token": out["token"].cast(pa.string()),
-                         "n": out["len"].cast(pa.int64())})
-
-    def final(t: pa.Table) -> pa.Table:
-        return t.group_by(["token"]).aggregate([("n", "sum")]) \
-            .rename_columns(["token", "n"])
-
-    counts = hash_aggregate(ds, ["token"], partial, final)
-
-    # exact top-k: per-partition truncation is safe because k is global
-    # over the FULL aggregated counts — take per-block top-k then merge
-    def topk_block(b: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(b, sort_keys=[("n", "descending"),
-                                            ("token", "ascending")])
-        return b.take(idx[:k])
-
-    local = counts.map_batches(topk_block, batch_format="pyarrow")
-    merged = pa.Table.from_pylist(local.take_all())
-    if merged.num_rows == 0:
-        return pa.table({"token": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64())})
-    idx = pc.sort_indices(merged, sort_keys=[("n", "descending"),
-                                             ("token", "ascending")])
-    return merged.select(["token", "n"]).take(idx[:k])
+    top = _top_tokens(gather(hash_aggregate_refs(
+        ds, ["tok"], token_freq_batch,
+        lambda t: _top_tokens(_token_totals(t), k))), k)
+    return pa.table({"token": top["tok"], "n": top["c"]})
 
 
 VOCAB_TOP_TERMS_SQL = r"""
@@ -2995,10 +2980,11 @@ def _lm_trained(sf_dir: str):
     is_tok marks distinct-token (|V|) rows and the rest are summed
     bigram occurrence counts.  Replaces the earlier separate
     bigram-count and vocab-count passes (bench: lm_score 1.28 → one
-    fewer docs scan and exchange)."""
+    fewer docs scan and exchange).  Returns the exchange's partition
+    refs."""
     import ray.data as rd
 
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import hash_aggregate_refs
     from ..functions.text import lm_train_batch
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3011,7 +2997,13 @@ def _lm_trained(sf_dir: str):
         return (t.group_by(["key", "is_tok"]).aggregate([("c", "sum")])
                 .rename_columns(["key", "is_tok", "c"]))
 
-    return hash_aggregate(partials, ["key"], sum_c, sum_c)
+    return hash_aggregate_refs(partials, ["key"], sum_c, sum_c)
+
+
+def _lm_row_kinds(t: pa.Table):
+    """A trained partition's (bigram rows, distinct-token rows)."""
+    n_tok = int(pc.sum(t["is_tok"]).as_py() or 0)
+    return t.num_rows - n_tok, n_tok
 
 
 def _lm_attach_lp(t: pa.Table, v: int) -> pa.Table:
@@ -3042,32 +3034,28 @@ def _lm_score(sf_dir: str):
     combiner-first exchange, nothing materializes driver-side except
     the gated model table.  Default plan broadcasts the (bigram, lp)
     model (``ray.put`` once, per-worker cached frame); above
-    ``_LM_BROADCAST_LIMIT`` trained rows it auto-routes through the
-    distributed-join plan (:func:`_lm_score_exchange`), pinned equal in
-    tests/test_lm_chunk.py."""
+    ``_LM_BROADCAST_LIMIT`` distinct bigrams — counted where the
+    trained partitions live, before any fetch — it auto-routes through
+    the distributed-join plan (:func:`_lm_score_exchange`), pinned
+    equal in tests/test_lm_chunk.py."""
     import ray
     import ray.data as rd
 
+    from ..functions.exchange import gather, map_partitions
     from ..functions.text import doc_bigram_batch
 
-    trained = _lm_trained(sf_dir)
-    rows = trained.take(_LM_BROADCAST_LIMIT + 1)
-    if len(rows) > _LM_BROADCAST_LIMIT:
-        def split_bg(t: pa.Table) -> pa.Table:
-            f = t.filter(pc.invert(t["is_tok"]))
-            return pa.table({"bigram": f["key"], "c": f["c"]})
+    def split_bg(t: pa.Table) -> pa.Table:
+        f = t.filter(pc.invert(t["is_tok"]))
+        return pa.table({"bigram": f["key"], "c": f["c"]})
 
-        v = trained.map_batches(
-            lambda t: t.filter(t["is_tok"]).select(["key"]),
-            batch_format="pyarrow").count()
+    trained = _lm_trained(sf_dir)
+    n_bg, v = (sum(x) for x in
+               zip(*map_partitions(trained, _lm_row_kinds)))
+    if n_bg > _LM_BROADCAST_LIMIT:
         return _lm_score_exchange(
-            sf_dir,
-            trained.map_batches(split_bg, batch_format="pyarrow"), v)
-    v = sum(1 for r in rows if r["is_tok"])
-    bg_rows = [r for r in rows if not r["is_tok"]]
-    counts = pa.table({
-        "bigram": pa.array([r["key"] for r in bg_rows], pa.string()),
-        "c": pa.array([r["c"] for r in bg_rows], pa.int64())})
+            sf_dir, rd.from_arrow_refs(trained).map_batches(
+                split_bg, batch_format="pyarrow"), v)
+    counts = split_bg(gather(trained))
     ref = ray.put(_lm_attach_lp(counts, v))
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3208,10 +3196,11 @@ FROM documents d LEFT JOIN per_doc p USING (doc_id)
 def _dsir_token_counts(sf_dir: str):
     """Single-pass DSIR count training: (tok, c_all, c_tgt) over the
     whole corpus — both the general and the target (lang = en)
-    unigram distributions in ONE combiner-first exchange."""
+    unigram distributions in ONE combiner-first exchange.  Returns the
+    exchange's partition refs."""
     import ray.data as rd
 
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import hash_aggregate_refs
     from ..functions.text import token_lang_tf_batch
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3224,7 +3213,7 @@ def _dsir_token_counts(sf_dir: str):
                 .aggregate([("c_all", "sum"), ("c_tgt", "sum")])
                 .rename_columns(["tok", "c_all", "c_tgt"]))
 
-    return hash_aggregate(partials, ["tok"], sums, sums)
+    return hash_aggregate_refs(partials, ["tok"], sums, sums)
 
 
 def _dsir_lr_table(counts: pa.Table, tt: int, at: int, v: int) -> pa.Table:
@@ -3251,21 +3240,19 @@ def _dsir_weights(sf_dir: str):
 
     Two streaming passes (count, score).  Default plan broadcasts the
     (tok, lr) table (gated, per-worker cached frame); above
-    ``_LM_BROADCAST_LIMIT`` distinct tokens it auto-routes through the
+    ``_LM_BROADCAST_LIMIT`` distinct tokens — counted where the count
+    partitions live, before any fetch — it auto-routes through the
     distributed-join plan, pinned equal in tests/test_lm_chunk.py."""
     import ray
     import ray.data as rd
 
+    from ..functions.exchange import gather, map_partitions
     from ..functions.text import doc_token_batch
 
     cnt = _dsir_token_counts(sf_dir)
-    rows = cnt.take(_LM_BROADCAST_LIMIT + 1)
-    if len(rows) > _LM_BROADCAST_LIMIT:
-        return _dsir_weights_exchange(sf_dir, cnt)
-    counts = pa.table({
-        "tok": pa.array([r["tok"] for r in rows], pa.string()),
-        "c_all": pa.array([r["c_all"] for r in rows], pa.int64()),
-        "c_tgt": pa.array([r["c_tgt"] for r in rows], pa.int64())})
+    if sum(map_partitions(cnt, len)) > _LM_BROADCAST_LIMIT:
+        return _dsir_weights_exchange(sf_dir, rd.from_arrow_refs(cnt))
+    counts = gather(cnt)
     tt = int(pc.sum(counts["c_tgt"]).as_py() or 0)
     at = int(pc.sum(counts["c_all"]).as_py() or 0)
     ref = ray.put(_dsir_lr_table(counts, tt, at, counts.num_rows))
@@ -3353,58 +3340,46 @@ FROM documents d LEFT JOIN per_doc p USING (doc_id)
 """
 
 
+def _text_groups(t: pa.Table) -> pa.Table:
+    """(doc_id, text_clean, n_dups) rows → one row per distinct
+    text_clean: min doc_id, summed n_dups.  Keyed on the text itself,
+    so NULL is its own group apart from '' — SQL GROUP BY semantics."""
+    return (t.group_by(["text_clean"])
+            .aggregate([("doc_id", "min"), ("n_dups", "sum")])
+            .rename_columns(["text_clean", "doc_id", "n_dups"])
+            .select(["doc_id", "text_clean", "n_dups"]))
+
+
+def _clean_corpus_block(b: pa.Table) -> pa.Table:
+    """clean_corpus's per-block partial: Gopher filter → PII redaction
+    → equal redacted texts collapsed with their multiplicity."""
+    from ..functions.text import pii_redact_batch
+
+    r = pii_redact_batch(_gopher_kept(b))
+    return _text_groups(pa.table({
+        "doc_id": r["doc_id"], "text_clean": r["redacted"],
+        "n_dups": pa.array(np.ones(r.num_rows, np.int64))}))
+
+
 def _clean_corpus(sf_dir: str):
     """The composed C4/Gopher-style cleaning pipeline — the realistic
     end-to-end curation flagship: Gopher quality FILTER (integer
-    cross-multiplied thresholds, same plan as ``quality_filter``) →
-    PII redaction of the survivors (vectorized RE2) → exact dedup on
-    the redacted text (first doc_id wins, multiplicity kept).  One
-    semi-join + one content-keyed exchange; every stage streams.
+    cross-multiplied thresholds, the ``quality_filter`` kernel) → PII
+    redaction of the survivors (vectorized RE2) → exact dedup on the
+    redacted text (first doc_id wins, multiplicity kept).  One
+    content-keyed exchange whose per-block combine runs all three
+    steps, so the documents are read once and nothing is joined.
 
     Output: (doc_id, text_clean, n_dups) — one row per distinct
     surviving text."""
     import ray.data as rd
 
-    from ..functions.exchange import auto_partitions, exchange_join, \
-        hash_aggregate
-    from ..functions.text import pii_redact_batch
+    from ..functions.exchange import hash_aggregate
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    kept = _quality_filter(sf_dir).map_batches(
-        lambda b: b.select(["doc_id"]), batch_format="pyarrow")
-    survivors = exchange_join(docs, kept, "left semi",
-                              auto_partitions(docs), on=["doc_id"])
-
-    def redacted(b: pa.Table) -> pa.Table:
-        r = pii_redact_batch(b)
-        import hashlib
-        ks = [hashlib.sha256((t or "").encode()).hexdigest()
-              for t in r["redacted"].to_pylist()]
-        t = pa.table({"k": pa.array(ks, pa.string()),
-                      "doc_id": r["doc_id"],
-                      "text_clean": r["redacted"],
-                      "one": pa.array([1] * len(r), pa.int64())})
-        return (t.group_by(["k"])
-                .aggregate([("doc_id", "min"), ("text_clean", "min"),
-                            ("one", "sum")])
-                .rename_columns(["k", "doc_id", "text_clean", "n"]))
-
-    def merge(t: pa.Table) -> pa.Table:
-        return (t.group_by(["k"])
-                .aggregate([("doc_id", "min"), ("text_clean", "min"),
-                            ("n", "sum")])
-                .rename_columns(["k", "doc_id", "text_clean", "n"]))
-
-    def final(t: pa.Table) -> pa.Table:
-        g = merge(t)
-        return pa.table({"doc_id": g["doc_id"],
-                         "text_clean": g["text_clean"],
-                         "n_dups": g["n"]})
-
-    return hash_aggregate(
-        survivors.map_batches(redacted, batch_format="pyarrow"),
-        ["k"], merge, final)
+    return hash_aggregate(docs, ["text_clean"], _clean_corpus_block,
+                          _text_groups)
 
 
 def _clean_corpus_sql() -> str:
@@ -3439,23 +3414,21 @@ def _vocab_hll(sf_dir: str):
     bit-for-bit; accuracy-vs-exact gated in tests/test_sketches.py."""
     import ray.data as rd
 
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import gather, hash_aggregate_refs
     from ..functions.sketches import hll_estimate, hll_partial_batch
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    partials = docs.map_batches(hll_partial_batch,
-                                batch_format="pyarrow")
 
     def merge(t: pa.Table) -> pa.Table:
         return (t.group_by(["bucket"]).aggregate([("maxrank", "max")])
                 .rename_columns(["bucket", "maxrank"]))
 
-    merged = hash_aggregate(partials, ["bucket"], merge, merge)
-    rows = merged.take_all()          # ≤ m = 4096 rows — bounded
+    merged = gather(hash_aggregate_refs(      # ≤ m = 4096 rows — bounded
+        docs, ["bucket"], hll_partial_batch, merge))
     est = hll_estimate(
-        np.array([r["bucket"] for r in rows], np.int64),
-        np.array([r["maxrank"] for r in rows], np.int64))
+        np.asarray(merged["bucket"].to_numpy(), np.int64),
+        np.asarray(merged["maxrank"].to_numpy(), np.int64))
     return pa.table({
         "est_distinct": pa.array([est["est_distinct"]], pa.float64()),
         "nonzero_buckets": pa.array([est["nonzero_buckets"]],
@@ -3504,68 +3477,49 @@ FROM es
 """
 
 
+def _heavy_hitter_partition(t: pa.Table) -> pa.Table:
+    """One token partition's (tok, c) partials → its exact top-K rows
+    (tok, c) stacked over its Count-Min counters (row, cell, c); the
+    columns a row kind lacks are NULL."""
+    from ..functions.sketches import CMS_TOP_K, cms_cells
+
+    cnt = _token_totals(t)
+    return pa.concat_tables([_top_tokens(cnt, CMS_TOP_K), cms_cells(cnt)],
+                            promote_options="default")
+
+
 def _heavy_hitters(sf_dir: str):
     """Count-Min heavy hitters: the exact top-``CMS_TOP_K`` tokens by
-    corpus frequency, each with its Count-Min sketch estimate — the
-    mergeable-sketch alternative to a full token exchange (the CMS
-    state is d×w counters SUMmed per cell through one exchange; at
-    100 TB only the fixed 16 KiB sketch crosses the wire per block).
+    corpus frequency, each with its Count-Min sketch estimate.  One
+    docs pass and one exchange of exact (tok, c) counts; each token
+    partition derives its own top-K and its d×w CMS counters from
+    those counts (:func:`_heavy_hitter_partition`), so the driver reads
+    ≤ partitions·(K + d·w) rows for any vocabulary size and merges them
+    (top-K of the partition tops, per-cell SUM of the counters).
     Integer-exact throughout, so the DuckDB oracle bit-compares; the
     CMS ≥ exact overestimate law is gated in tests/test_sketches.py."""
     import ray.data as rd
 
-    from ..functions.exchange import hash_aggregate
-    from ..functions.sketches import (CMS_TOP_K, cms_lookup,
-                                      cms_partial_batch)
-    from ..functions.text import token_tf_batch
+    from ..functions.exchange import gather, hash_aggregate_refs
+    from ..functions.sketches import CMS_TOP_K, cms_lookup
+    from ..functions.text import token_freq_batch
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-
-    # CMS cells: one exchange over ≤ d·w partial rows per block
-    cell_rows = hash_aggregate(
-        docs.map_batches(cms_partial_batch, batch_format="pyarrow"),
-        ["row", "cell"],
-        lambda t: (t.group_by(["row", "cell"])
-                   .aggregate([("c", "sum")])
-                   .rename_columns(["row", "cell", "c"])),
-        lambda t: (t.group_by(["row", "cell"])
-                   .aggregate([("c", "sum")])
-                   .rename_columns(["row", "cell", "c"]))).take_all()
-    cells = {(r["row"], r["cell"]): r["c"] for r in cell_rows}
-
-    # exact top-K candidates (combiner exchange + per-block top-k)
-    def drop_doc(t: pa.Table) -> pa.Table:
-        return (t.group_by(["tok"]).aggregate([("tf", "sum")])
-                .rename_columns(["tok", "c"]))
-
-    def sum_c(t: pa.Table) -> pa.Table:
-        return (t.group_by(["tok"]).aggregate([("c", "sum")])
-                .rename_columns(["tok", "c"]))
-
-    counts = hash_aggregate(
-        docs.map_batches(token_tf_batch, batch_format="pyarrow"),
-        ["tok"], drop_doc, sum_c)
-
-    def topk_block(t: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(t, sort_keys=[("c", "descending"),
-                                            ("tok", "ascending")])
-        return t.take(idx[:CMS_TOP_K])
-
-    local = counts.map_batches(topk_block, batch_format="pyarrow")
-    merged = pa.Table.from_pylist(local.take_all())
-    if merged.num_rows == 0:
-        return pa.table({"tok": pa.array([], pa.string()),
-                         "c_exact": pa.array([], pa.int64()),
-                         "c_cms": pa.array([], pa.int64())})
-    idx = pc.sort_indices(merged, sort_keys=[("c", "descending"),
-                                             ("tok", "ascending")])
-    top = merged.take(idx[:CMS_TOP_K])
+                           columns=["text"])
+    t = gather(hash_aggregate_refs(docs, ["tok"], token_freq_batch,
+                                   _heavy_hitter_partition))
+    is_top = pc.is_valid(t["tok"])
+    top = _top_tokens(t.filter(is_top), CMS_TOP_K)
+    cells = (t.filter(pc.invert(is_top))
+             .group_by(["row", "cell"]).aggregate([("c", "sum")]))
+    cells = dict(zip(zip(cells["row"].to_pylist(),
+                         cells["cell"].to_pylist()),
+                     cells["c_sum"].to_pylist()))
     toks = top["tok"].to_pylist()
     return pa.table({
         "tok": pa.array(toks, pa.string()),
         "c_exact": top["c"].cast(pa.int64()),
-        "c_cms": pa.array([cms_lookup(cells, t) for t in toks],
+        "c_cms": pa.array([cms_lookup(cells, x) for x in toks],
                           pa.int64())})
 
 

@@ -219,3 +219,61 @@ def test_hash_aggregate_auto_equals_explicit(ray_session, tmp_path):
     for np_ in (1, 3, 16):
         explicit = run(np_)
         assert auto.equals(explicit), np_
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 5])
+def test_refs_core_chains_like_dataset(ray_session, n_blocks):
+    """Feeding one exchange's partition refs straight into the next
+    (``hash_aggregate_refs`` on refs) gives the rows of
+    ``hash_aggregate`` over ``rd.from_arrow_refs`` of the same refs —
+    a zero-block input included — and ``gather`` reads them back."""
+    import ray
+    import ray.data as rd
+
+    from sophia_rs_ray.functions.exchange import (gather, hash_aggregate,
+                                                  hash_aggregate_refs)
+
+    def gsum(t: pa.Table) -> pa.Table:
+        if "k" not in t.column_names:   # schema-less zero-block input
+            t = pa.table({"k": pa.array([], pa.string()),
+                          "v": pa.array([], pa.int64())})
+        return t.group_by("k").aggregate([("v", "sum")]) \
+            .rename_columns(["k", "v"])
+
+    def rekey(t: pa.Table) -> pa.Table:
+        # second exchange on a different key: first letter of k
+        t = gsum(t)
+        return pa.table({"h": pc.utf8_slice_codeunits(t["k"], 0, 1),
+                         "v": t["v"]})
+
+    def hsum(t: pa.Table) -> pa.Table:
+        if "h" not in t.column_names:
+            t = pa.table({"h": pa.array([], pa.string()),
+                          "v": pa.array([], pa.int64())})
+        return t.group_by("h").aggregate([("v", "sum")]) \
+            .rename_columns(["h", "v"])
+
+    blocks = [ray.put(pa.table({
+        "k": pa.array([f"{'ab'[i % 2]}{(i * 7 + j) % 11}"
+                       for j in range(40)]),
+        "v": pa.array(range(i * 40, i * 40 + 40), pa.int64())}))
+        for i in range(n_blocks)]
+    first = hash_aggregate_refs(blocks, ["k"], gsum, gsum)
+    # refs input → the default partition count; no blocks → one empty
+    assert len(first) == (8 if n_blocks else 1)
+    chained = gather(hash_aggregate_refs(first, ["h"], rekey, hsum))
+    via_ds = pa.Table.from_pylist(hash_aggregate(
+        rd.from_arrow_refs(first), ["h"], rekey, hsum).take_all(),
+        schema=chained.schema)
+
+    def rows(t):
+        return sorted(zip(t["h"].to_pylist(), t["v"].to_pylist()))
+
+    assert rows(chained) == rows(via_ds)
+    want: dict = {}
+    for b in ray.get(blocks):
+        for k, v in zip(b["k"].to_pylist(), b["v"].to_pylist()):
+            want[k[0]] = want.get(k[0], 0) + v
+    assert rows(chained) == sorted(want.items())
+    # same rows as the first exchange read back whole
+    assert sum(gather(first)["v"].to_pylist()) == sum(want.values())

@@ -92,24 +92,28 @@ def test_cms_overestimate_law(ray_session, tmp_path):
 
 
 def test_cms_lookup_matches_reference(ray_session):
-    """cms_partial_batch + cms_lookup reproduce a brute per-cell
-    reference (hashlib) for every token, including unseen tokens → 0
-    or collision floor."""
+    """cms_cells over token_freq_batch's exact counts + cms_lookup
+    reproduce a brute per-cell reference (hashlib) for every token,
+    including unseen tokens → 0 or collision floor; the cells of a
+    token split are the per-cell sums of its parts' cells."""
     import hashlib
     from collections import Counter
 
     from sophia_rs_ray.functions.sketches import (CMS_D, CMS_W,
-                                                  cms_lookup,
-                                                  cms_partial_batch)
-    from sophia_rs_ray.functions.text import tokens_of
+                                                  cms_cells,
+                                                  cms_lookup)
+    from sophia_rs_ray.functions.text import token_freq_batch, tokens_of
+
+    def as_dict(p):
+        return {(r, c): v for r, c, v in zip(p["row"].to_pylist(),
+                                             p["cell"].to_pylist(),
+                                             p["c"].to_pylist())}
 
     texts = _corpus(50, 80, seed=5)
     t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                   "text": pa.array(texts, pa.string())})
-    p = cms_partial_batch(t)
-    cells = {(r, c): v for r, c, v in zip(p["row"].to_pylist(),
-                                          p["cell"].to_pylist(),
-                                          p["c"].to_pylist())}
+    counts = token_freq_batch(t)
+    cells = as_dict(cms_cells(counts))
     cnt = Counter(tok for x in texts for tok in tokens_of(x))
     ref_cells: dict = {}
     for tok, c in cnt.items():
@@ -123,6 +127,13 @@ def test_cms_lookup_matches_reference(ray_session):
         est = cms_lookup(cells, tok)
         assert est >= c
     assert cms_lookup(cells, "never-seen-token-xyzzy") >= 0
+    # mergeable: disjoint token parts sum per cell to the whole
+    merged: dict = {}
+    for part in (counts.slice(0, 7), counts.slice(7)):
+        for k, v in as_dict(cms_cells(part)).items():
+            merged[k] = merged.get(k, 0) + v
+    assert merged == ref_cells
+    assert cms_cells(counts.slice(0, 0)).num_rows == 0
 
 
 def test_sketches_empty_corpus_matches_oracle(ray_session, tmp_path):
