@@ -73,6 +73,10 @@ def main() -> int:
                  f"choose from {sorted(ORDERS)}")
     if len(set(orders)) != len(orders):
         ap.error(f"--orders: duplicate order in {list(orders)}")
+    if args.shards < 1:
+        ap.error(f"--shards must be >= 1, got {args.shards}")
+    if args.blocks is not None and args.blocks < 1:
+        ap.error(f"--blocks must be >= 1, got {args.blocks}")
     if args.synthetic is None and not args.input:
         ap.error("one of --input / --synthetic is required")
 

@@ -326,20 +326,21 @@ def _write_ivf_impl(out_dir: str, j: int, *parts) -> int:
     return t.num_rows
 
 
-_split_ivf = None  # bound lazily (num_returns depends on n_buckets)
 _write_ivf = _ray.remote(_write_ivf_impl)
 
 
 def materialize_ivf(emb_ds, out_dir: str, *, n_buckets: int = 16,
                     seed: int = 7, resume: bool = True) -> dict:
     """Write the IVF layout: one Parquet file per bucket plus a
-    ``_manifest.json`` (bucket → rows, dim, params).  Mirrors the
-    triple-materialize exchange: per-block split tasks fan out one
-    object per bucket, one write task per bucket concatenates them.
+    ``_manifest.json`` (bucket → rows, dim, params).  The shared
+    exchange (``exchange.scatter``) splits each block into one object
+    per bucket; one write task per bucket concatenates them.
     ``resume=True`` returns the existing manifest untouched when
     present (per-partition lineage → a failed run re-writes only
     missing buckets via a fresh pass)."""
     import ray
+
+    from .exchange import scatter
 
     man_path = os.path.join(out_dir, "_manifest.json")
     if resume and os.path.exists(man_path):
@@ -357,12 +358,9 @@ def materialize_ivf(emb_ds, out_dir: str, *, n_buckets: int = 16,
             break
     if dim is None:
         raise ValueError("empty embedding dataset")
-    split = ray.remote(num_returns=n_buckets)(_split_ivf_impl) \
-        if n_buckets > 1 else ray.remote(_split_ivf_impl)
-    parts = [split.remote(r, n_buckets, seed) for r in refs]
-    cols = list(zip(*parts)) if n_buckets > 1 else [tuple(parts)]
-    rows = ray.get([_write_ivf.remote(out_dir, j, *cols[j])
-                    for j in range(n_buckets)])
+    pieces, _ = scatter(refs, _split_ivf_impl, (n_buckets, seed), n_buckets)
+    rows = ray.get([_write_ivf.remote(out_dir, j, *p)
+                    for j, p in enumerate(pieces)])
     man = {"n_buckets": n_buckets, "seed": seed, "dim": dim,
            "buckets": {str(j): n for j, n in enumerate(rows)}}
     tmp = man_path + ".tmp"

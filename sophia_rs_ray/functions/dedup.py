@@ -13,7 +13,7 @@ Scale shape (the canonical Ray Data pattern):
 from __future__ import annotations
 
 import re
-from typing import List, Set, Tuple
+from typing import Set, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -134,13 +134,6 @@ def band_rows(batch: pa.Table, n_bands: int, rows_per_band: int) -> pa.Table:
                      "band_hash": pa.array(hashes, pa.int64())})
 
 
-def candidate_pairs_from_bucket(doc_ids: List[int], cap: int = 50) -> List[Tuple[int, int]]:
-    """Pairs within an LSH bucket, capped per bucket (hub/skew guard —
-    SURVEY §4.2: cap pair generation in LSH)."""
-    doc_ids = sorted(set(doc_ids))[: cap]
-    return [(a, b) for i, a in enumerate(doc_ids) for b in doc_ids[i + 1:]]
-
-
 def jaccard(a: Set[int], b: Set[int]) -> float:
     if not a and not b:
         return 1.0
@@ -170,10 +163,6 @@ def simhash_batch(b: pa.Table) -> pa.Table:
     hs = [simhash64(t or "") for t in b["text"].to_pylist()]
     return pa.table({"doc_id": b["doc_id"],
                      "simhash": pa.array([h - (1 << 63) for h in hs], pa.int64())})
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin((a ^ b) & 0xFFFFFFFFFFFFFFFF).count("1")
 
 
 def _trigram_set(text: str) -> Set[str]:

@@ -1,13 +1,26 @@
-"""Generic two-stage raw-task hash-exchange aggregation.
+"""The raw-task exchange: one map side, many reduce sides.
 
 Measured motivation (BASELINE.md, stages/materialize.py): Ray Data's
 sort-based ``groupby().aggregate()`` exchange costs seconds of fixed
 overhead per stage at bench scale (sort + O(blocks×partitions) tiny
 objects) and serializes against upstream stages; the hash-shuffle
 strategy is slower still for small partitions (actor pool spin-up).
-This utility is the generalization of the materialize exchange
-(SURVEY §2 "custom operators" option (c)) for aggregate-shaped wide
-ops:
+SURVEY §2 "custom operators" option (c) replaces it with plain tasks.
+
+:func:`scatter` is the one map side.  It streams the input's block
+refs, runs a caller-supplied ``split`` task per block that returns one
+object per partition, and folds each partition's pieces through a
+bounded fan-in merge tree (:class:`_MergeTree` over
+:func:`_merge_pieces`).  Each caller keeps only its split kernel and
+launches its own reduce per partition:
+
+    hash_aggregate_refs   _map_side    → _reduce_side (combine/finalize)
+    exchange_join         _map_side    → _join_reduce (per side)
+    materialize_graph     _split_block → _write_partition (stages/)
+    asof_join             _map_side    → _asof_reduce (functions/temporal)
+    materialize_ivf       _split_ivf_impl → _write_ivf (functions/ann)
+
+The aggregate shape, for example:
 
     block → combine(block)                (per-block partial aggregate)
           → hash-split by key (argsort)   (one object per partition)
@@ -191,13 +204,14 @@ def _concat_mixed(parts):
 
 
 def _merge_pieces(*parts):
-    """Fan-in node of the exchange merge tree: concat ≤ fanin piece
-    objects into one so reduce-task argument counts and the driver's
-    live-ref set stay bounded at ``fanin`` per level, independent of
-    input block count (same rationale as materialize._combine_pieces).
-    NOTE: this node only concats — it never re-applies ``combine``,
-    which is a per-*input-block* partial (e.g. dedup's ``n_dups = 1``
-    seed) and is not idempotent over its own output."""
+    """Fan-in node of the :func:`scatter` merge tree: concat ≤ fanin
+    piece objects into one so reduce-task argument counts and the
+    driver's live-ref set stay bounded at ``fanin`` per level,
+    independent of input block count — at 100-TB scale (10⁵ blocks ×
+    10³ partitions) a direct exchange would hand every reduce task 10⁵
+    tiny object args.  NOTE: this node only concats — it never
+    re-applies a split's per-block work (e.g. dedup's ``n_dups = 1``
+    seed), which is not idempotent over its own output."""
     parts = [p for p in parts if p is not None]
     if not parts:
         return None
@@ -234,7 +248,9 @@ class _MergeTree:
             self.push(j, merged, depth + 1)
 
     def remaining(self, j: int) -> list:
-        return [r for lv in self.levels[j] for r in lv]
+        # deepest level first: it holds the oldest pieces, so the refs
+        # come back in input order
+        return [r for lv in reversed(self.levels[j]) for r in lv]
 
 
 def _iter_block_refs(src):
@@ -253,6 +269,46 @@ def _iter_block_refs(src):
         return
     for bundle in bundles:
         yield from bundle.block_refs
+
+
+def _first(t):
+    return t[0]
+
+
+def scatter(src, split, args: tuple, num_partitions: int, *,
+            fanin: int = 256):
+    """The exchange map side: ``split(block, *args)`` once per input
+    block → a tuple of ``num_partitions`` pieces (None or a table) →
+    each partition's pieces folded through a :class:`_MergeTree` of
+    :func:`_merge_pieces` nodes.  Returns ``(pieces, n_blocks)``:
+    ``pieces[j]`` is the ≤ fanin·depth piece refs the caller hands its
+    reduce task for partition ``j``.
+
+    ``src`` is a Dataset (blocks stream into their split tasks as they
+    materialize, so the exchange overlaps the producing stage instead
+    of waiting behind a ``to_arrow_refs()`` barrier) or a list of
+    block refs.  ``split`` must be a module-level function — Ray
+    rejects ``functools.partial`` as a remote function — and its extra
+    arguments travel in ``args``.  Below ``fanin`` blocks the tree is a
+    single level and the plan is the direct exchange, task for task."""
+    import ray
+
+    task = ray.remote(num_returns=num_partitions)(split) \
+        if num_partitions > 1 else ray.remote(split)
+    # num_returns=1 tasks return the 1-tuple itself; unwrap remotely
+    unwrap = ray.remote(_first) if num_partitions == 1 else None
+    merge = ray.remote(_merge_pieces)
+    tree = _MergeTree(num_partitions, fanin,
+                      lambda *refs: merge.remote(*refs))
+    n_blocks = 0
+    for block_ref in _iter_block_refs(src):
+        n_blocks += 1
+        refs = task.remote(block_ref, *args)
+        if unwrap is not None:
+            refs = [unwrap.remote(refs)]
+        for j, r in enumerate(refs):
+            tree.push(j, r)
+    return [tree.remaining(j) for j in range(num_partitions)], n_blocks
 
 
 def _empty_input(src, fetch: bool) -> Optional[pa.Table]:
@@ -310,48 +366,17 @@ def hash_aggregate_refs(src, key_cols: Sequence[str],
     over the concatenated partials (final aggregate).  Either may be
     None (identity).
 
-    Per-partition merge tree (same shape as materialize.py's): piece
-    refs collapse ``fanin`` at a time through ``_merge_pieces`` nodes,
-    so the final reduce task's argument count and the driver's live-ref
-    set are O(fanin · depth) per partition, independent of input block
-    count — at 10⁵ blocks the direct exchange would hand every reduce
-    task 10⁵ tiny object args and pin blocks × partitions refs on the
-    driver.  Below ``fanin`` blocks (every sandbox run) the tree is a
-    single level and the plan is identical to the direct exchange.
+    The map side is :func:`scatter` with ``fanin``, so the final reduce
+    task's argument count and the driver's live-ref set are
+    O(fanin · depth) per partition, independent of input block count.
     """
     import ray
 
     if num_partitions is None:
         num_partitions = auto_partitions(src)
-    split = ray.remote(num_returns=num_partitions)(_map_side) \
-        if num_partitions > 1 else ray.remote(_map_side)
-    reduce = ray.remote(_reduce_side)
-    merge = ray.remote(_merge_pieces)
-    unwrap = ray.remote(lambda t: t[0]) if num_partitions == 1 else None
-    tree = _MergeTree(num_partitions, fanin,
-                      lambda *refs: merge.remote(*refs))
-
-    n_blocks = 0
-
-    def feed(block_ref) -> None:
-        nonlocal n_blocks
-        n_blocks += 1
-        refs = split.remote(block_ref, tuple(key_cols), num_partitions,
-                            combine)
-        if num_partitions == 1:
-            # num_returns=1 tasks return the 1-tuple itself; unwrap
-            # remotely
-            tree.push(0, unwrap.remote(refs))
-        else:
-            for j, r in enumerate(refs):
-                tree.push(j, r)
-
-    # launch each block's map-side split the moment the block
-    # materializes: the exchange overlaps the producing stage instead
-    # of waiting behind a full-dataset to_arrow_refs() barrier
-    for r in _iter_block_refs(src):
-        feed(r)
-
+    pieces, n_blocks = scatter(
+        src, _map_side, (tuple(key_cols), num_partitions, combine),
+        num_partitions, fanin=fanin)
     if not n_blocks:
         # zero-block input: derive the output schema from the fns on an
         # empty batch so downstream operators keep working
@@ -374,8 +399,8 @@ def hash_aggregate_refs(src, key_cols: Sequence[str],
                 fallback = combine(fallback)
         except Exception:
             fallback = None
-    return [reduce.remote(finalize, fallback, *tree.remaining(j))
-            for j in range(num_partitions)]
+    reduce = ray.remote(_reduce_side)
+    return [reduce.remote(finalize, fallback, *p) for p in pieces]
 
 
 def hash_aggregate(ds, key_cols: Sequence[str],
@@ -459,33 +484,11 @@ def exchange_join(left_ds, right_ds, join_type: str, num_partitions: int,
 
     on = list(on)
     right_on = list(right_on) if right_on else on
-
-    split = ray.remote(num_returns=num_partitions)(_map_side) \
-        if num_partitions > 1 else ray.remote(_map_side)
-    reduce = ray.remote(_join_reduce)
-    merge = ray.remote(_merge_pieces)
-    unwrap = ray.remote(lambda t: t[0]) if num_partitions == 1 else None
-
-    def _exchange(side_ds, key_cols, fanin=256):
-        # per-partition merge tree (see hash_aggregate) so join-reduce
-        # arg counts stay bounded at 100-TB block counts; blocks feed
-        # the splits as they materialize (streaming — no to_arrow_refs
-        # barrier, no driver-pinned block list)
-        tree = _MergeTree(num_partitions, fanin,
-                          lambda *rs: merge.remote(*rs))
-        n = 0
-        for r in _iter_block_refs(side_ds):
-            n += 1
-            parts = split.remote(r, tuple(key_cols), num_partitions, None)
-            if num_partitions == 1:
-                tree.push(0, unwrap.remote(parts))
-            else:
-                for j, p in enumerate(parts):
-                    tree.push(j, p)
-        return [tree.remaining(j) for j in range(num_partitions)], n
-
-    l_cols, n_l = _exchange(left_ds, on)
-    r_cols, n_r = _exchange(right_ds, right_on)
+    l_cols, n_l = scatter(left_ds, _map_side,
+                          (tuple(on), num_partitions, None), num_partitions)
+    r_cols, n_r = scatter(right_ds, _map_side,
+                          (tuple(right_on), num_partitions, None),
+                          num_partitions)
 
     if not n_l or not n_r:
         # empty side (zero blocks): synthesize the join result locally.
@@ -510,6 +513,7 @@ def exchange_join(left_ds, right_ds, join_type: str, num_partitions: int,
             left_suffix=left_suffix, right_suffix=right_suffix,
             use_threads=False))
 
+    reduce = ray.remote(_join_reduce)
     out = [reduce.remote(join_type, tuple(on), tuple(right_on),
                          left_suffix, right_suffix, len(l_cols[j]),
                          *l_cols[j], *r_cols[j])

@@ -1,9 +1,9 @@
 """Approximate/exact nearest-neighbor search over an embedding column.
 
 Baseline: brute-force cosine top-k — numpy matmul per batch against a
-broadcast query matrix (``ray.put`` once, read per task). Scale path:
-LSH-bucketed variant (random-hyperplane signs → groupby bucket) that
-prunes the candidate set before the exact rerank.
+broadcast query matrix (``ray.put`` once, read per task).  The
+candidate-pruning scale paths (LSH buckets, the persisted IVF layout)
+live in ``functions.ann``.
 """
 
 from __future__ import annotations
@@ -54,46 +54,3 @@ def brute_force_topk(ds, query_vec: np.ndarray, k: int = 10,
 
     scored = ds.map_batches(score, batch_format="pyarrow")
     return scored.sort([("sim"), (id_col)], descending=[True, False]).limit(k)
-
-
-class HyperplaneLsh:
-    """Random-hyperplane LSH bucketing for embeddings (actor-pool stage:
-    the plane matrix is drawn once per actor in __init__)."""
-
-    def __init__(self, dim: int, n_planes: int = 16, seed: int = 42):
-        rng = np.random.RandomState(seed)
-        self.planes = rng.normal(size=(n_planes, dim))
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        b = b.filter(_pc.is_valid(b["embedding"]))  # skip null vectors
-        if b.num_rows == 0:
-            return pa.table({"vec_id": b["vec_id"],
-                             "bucket": pa.array([], pa.int64()),
-                             "embedding": b["embedding"]})
-        m = _matrix(b["embedding"])
-        signs = (m @ self.planes.T) > 0
-        buckets = signs @ (1 << np.arange(signs.shape[1], dtype=np.int64))
-        return pa.table({"vec_id": b["vec_id"],
-                         "bucket": pa.array(buckets, pa.int64()),
-                         "embedding": b["embedding"]})
-
-
-def lsh_topk(ds, query_vec: np.ndarray, dim: int, k: int = 10,
-             n_planes: int = 8, exclude_id: Optional[int] = None):
-    """Scale path: only score vectors in the query's LSH bucket (and its
-    1-bit-flip neighbor buckets to recover recall)."""
-    import pyarrow.compute as pc
-
-    lsh = HyperplaneLsh(dim, n_planes)
-    q = np.asarray(query_vec, np.float64)
-    signs = (q @ lsh.planes.T) > 0
-    qb = int(signs @ (1 << np.arange(n_planes, dtype=np.int64)))
-    probe = {qb} | {qb ^ (1 << i) for i in range(n_planes)}
-    bucketed = ds.map_batches(lsh, batch_format="pyarrow")
-    cands = bucketed.map_batches(
-        lambda b: b.filter(pc.is_in(b["bucket"],
-                                    value_set=pa.array(sorted(probe), pa.int64()))),
-        batch_format="pyarrow")
-    return brute_force_topk(cands, query_vec, k, exclude_id)

@@ -206,26 +206,18 @@ def asof_join(left_ds, right_ds, *, on: str, ts: str,
     import ray
     import ray.data as rd
 
-    from .exchange import _map_side
+    from .exchange import _map_side, scatter
 
     right_ts = right_ts or ts
-    split = ray.remote(num_returns=num_partitions)(_map_side) \
-        if num_partitions > 1 else ray.remote(_map_side)
-    reduce = ray.remote(_asof_reduce)
-
-    def _refs(ds):
-        try:
-            return [r for b in ds.iter_internal_ref_bundles()
-                    for r in b.block_refs]
-        except AttributeError:
-            return ds.to_arrow_refs()
-
-    l_refs, r_refs = _refs(left_ds), _refs(right_ds)
+    l_parts, n_l = scatter(left_ds, _map_side,
+                           ((on,), num_partitions, None), num_partitions)
+    if not n_l:
+        return left_ds  # empty: nothing to join
+    r_parts, n_r = scatter(right_ds, _map_side,
+                           ((on,), num_partitions, None), num_partitions)
     r_schema = right_ds.schema()
     r_cols = right_cols or [c for c in r_schema.names if c != on]
-    if not l_refs:
-        return left_ds  # empty: nothing to join
-    if not r_refs:
+    if not n_r:
         # no right side: all-null matched columns with the right types
         tmap = dict(zip(r_schema.names, r_schema.types))
         l_names = set(left_ds.schema().names)
@@ -238,19 +230,10 @@ def asof_join(left_ds, right_ds, *, on: str, ts: str,
             return b
         return left_ds.map_batches(nulls, batch_format="pyarrow")
 
-    l_parts = [split.remote(r, (on,), num_partitions, None) for r in l_refs]
-    r_parts = [split.remote(r, (on,), num_partitions, None) for r in r_refs]
-    if num_partitions == 1:
-        unwrap = ray.remote(lambda t: t[0])
-        l_cols = [tuple(unwrap.remote(r) for r in l_parts)]
-        r_cols_parts = [tuple(unwrap.remote(r) for r in r_parts)]
-    else:
-        l_cols = list(zip(*l_parts))
-        r_cols_parts = list(zip(*r_parts))
+    reduce = ray.remote(_asof_reduce)
     out = [reduce.remote(on, ts, right_ts, tuple(r_cols), suffix,
-                         tolerance_us, len(l_cols[j]),
-                         *l_cols[j], *r_cols_parts[j])
-           for j in range(num_partitions)]
+                         tolerance_us, len(lp), *lp, *rp)
+           for lp, rp in zip(l_parts, r_parts)]
     return rd.from_arrow_refs(out)
 
 

@@ -277,16 +277,22 @@ Node = U[BGP, Join, LeftJoin, Union, Minus, Filter, Extend, Project,
 # helpers
 # ---------------------------------------------------------------------------
 
-def _vars_of(ds) -> List[str]:
-    sch = ds.schema()
-    if sch is None:  # Ray loses the schema of empty datasets
-        return []
-    return [c for c in sch.names if not c.startswith("__")]
-
-
 def _cols_of(ds) -> List[str]:
     sch = ds.schema()
     return [] if sch is None else list(sch.names)
+
+
+def _with_vars(ds):
+    """``(ds.materialize(), its binding variables)``.  ``schema()`` on a
+    lazy plan runs it only up to its first block and then cancels the
+    tasks still running; the caller then runs the whole plan again.
+    Materializing first runs it once, and never interrupts a task
+    (a worker interrupted mid-task can leave its next task hanging)."""
+    ds = ds.materialize()
+    sch = ds.schema()
+    if sch is None:  # Ray loses the schema of empty datasets
+        return ds, []
+    return ds, [c for c in sch.names if not c.startswith("__")]
 
 
 def _empty_bindings(names: Sequence[str]):
@@ -682,7 +688,8 @@ def _eval_order_by(node: "OrderBy", child, *, limit: Optional[int]):
 def _cross_or_join(a, b, *, how: str = "inner", num_partitions: int = 8):
     """Hash join on shared vars; no shared vars → small-side cross
     product (only sensible when one side is tiny, e.g. a VALUES row)."""
-    shared = sorted(set(_vars_of(a)) & set(_vars_of(b)))
+    (a, av), (b, bv) = _with_vars(a), _with_vars(b)
+    shared = sorted(set(av) & set(bv))
     if shared:
         return _join_bindings(a, b, how, num_partitions, tuple(shared))
     if b.count() > _CROSS_SIDE_LIMIT:
@@ -760,7 +767,7 @@ def _distinct_on(ds, cols, num_partitions: int = 8):
 
 def _distinct(ds, num_partitions: int = 8):
     """Exact distinct over all binding columns."""
-    cols = _vars_of(ds)
+    ds, cols = _with_vars(ds)
     if not cols:
         return ds.limit(1)
     return _distinct_on(ds, cols, num_partitions)
@@ -1357,8 +1364,8 @@ def evaluate(node: Node, triples_ds, *, num_partitions: int = 8,
                               num_partitions=num_partitions)
 
     if isinstance(node, LeftJoin):
-        left, right = ev(node.left), ev(node.right)
-        lv, rv = _vars_of(left), _vars_of(right)
+        (left, lv), (right, rv) = _with_vars(ev(node.left)), \
+            _with_vars(ev(node.right))
         shared = sorted(set(lv) & set(rv))
         if not shared:
             if not lv:  # empty left (Ray drops empty schemas): ∅
@@ -1382,8 +1389,8 @@ def evaluate(node: Node, triples_ds, *, num_partitions: int = 8,
                               num_partitions, tuple(shared))
 
     if isinstance(node, Union):
-        left, right = ev(node.left), ev(node.right)
-        lv, rv = _vars_of(left), _vars_of(right)
+        (left, lv), (right, rv) = _with_vars(ev(node.left)), \
+            _with_vars(ev(node.right))
         allv = sorted(set(lv) | set(rv))
 
         def align(b: pa.Table, have: List[str]) -> pa.Table:
@@ -1398,8 +1405,9 @@ def evaluate(node: Node, triples_ds, *, num_partitions: int = 8,
                                      batch_format="pyarrow"))
 
     if isinstance(node, Minus):
-        left, right = ev(node.left), ev(node.right)
-        shared = sorted(set(_vars_of(left)) & set(_vars_of(right)))
+        (left, lv), (right, rv) = _with_vars(ev(node.left)), \
+            _with_vars(ev(node.right))
+        shared = sorted(set(lv) & set(rv))
         if not shared:
             return left
         return _semi_anti(left, right, shared, anti=True,
@@ -1433,11 +1441,12 @@ def evaluate(node: Node, triples_ds, *, num_partitions: int = 8,
     if isinstance(node, Project):
         child = ev(node.child)
         keep = list(node.vars)
-        if graph_var is not None and graph_var not in keep \
-                and graph_var in _vars_of(child):
-            # the graph binding survives subquery projection while
-            # inside GRAPH ?g (it is bound outside the subquery)
-            keep.append(graph_var)
+        if graph_var is not None and graph_var not in keep:
+            child, cv = _with_vars(child)
+            if graph_var in cv:
+                # the graph binding survives subquery projection while
+                # inside GRAPH ?g (it is bound outside the subquery)
+                keep.append(graph_var)
 
         def project(b: pa.Table) -> pa.Table:
             # a projected variable the pattern never binds is simply
@@ -1453,8 +1462,7 @@ def evaluate(node: Node, triples_ds, *, num_partitions: int = 8,
         return _distinct(ev(node.child), num_partitions)
 
     if isinstance(node, Reduced):
-        child = ev(node.child)
-        cols = _vars_of(child)
+        child, cols = _with_vars(ev(node.child))
         if not cols:
             return child
 
@@ -1483,6 +1491,9 @@ def evaluate(node: Node, triples_ds, *, num_partitions: int = 8,
             child = _eval_order_by(node.child, inner, limit=k)
             if node.offset == 0:
                 return child.limit(node.limit)
+            # the sort ran every row anyway; materialized, the limit
+            # below truncates it without cancelling running tasks
+            child = child.materialize()
         else:
             child = ev(node.child)
         if node.offset == 0:
@@ -1497,12 +1508,13 @@ def evaluate(node: Node, triples_ds, *, num_partitions: int = 8,
     if isinstance(node, Group):
         gv = list(node.group_vars)
         child = ev(node.child)
-        if graph_var is not None and graph_var not in gv \
-                and graph_var in _vars_of(child):
-            # inside GRAPH ?g the subquery evaluates once per named
-            # graph (exec.rs:652-707 graph_iter): the graph binding is
-            # an implicit grouping key
-            gv.append(graph_var)
+        if graph_var is not None and graph_var not in gv:
+            child, cv = _with_vars(child)
+            if graph_var in cv:
+                # inside GRAPH ?g the subquery evaluates once per named
+                # graph (exec.rs:652-707 graph_iter): the graph binding
+                # is an implicit grouping key
+                gv.append(graph_var)
         return _group_by_exchange(child, gv, list(node.aggs),
                                   num_partitions)
 
@@ -1525,9 +1537,9 @@ def evaluate(node: Node, triples_ds, *, num_partitions: int = 8,
         return _distinct(plus.union(rd.from_arrow(seeds)), num_partitions)
 
     if isinstance(node, Exists):
-        left, right = ev(node.left), ev(node.right)
-        lv = _vars_of(left)
-        shared = sorted(set(lv) & set(_vars_of(right)))
+        (left, lv), (right, rv) = _with_vars(ev(node.left)), \
+            _with_vars(ev(node.right))
+        shared = sorted(set(lv) & set(rv))
         if not shared:
             if not lv:  # empty left (Ray drops empty schemas): ∅
                 return left

@@ -671,7 +671,7 @@ class _Parser:
 
     def _fresh_var(self) -> Var:
         # single underscore on purpose: '__'-prefixed columns are
-        # internal markers invisible to _vars_of / join detection, and
+        # internal markers invisible to _with_vars / join detection, and
         # path chain vars MUST join
         self._bind_ctr += 1
         return Var(f"_path_{self._bind_ctr}")

@@ -210,8 +210,10 @@ def describe(text: str, triples_ds, *, num_partitions: int = 8):
     triples_ds = _apply_dataset_clause(triples_ds, q.dataset)
     resources = {format_term(t) for t in q.terms}
     if q.node is not None and q.vars:
+        # materialized: the schema probe below must not run (and then
+        # cancel) the plan that take_all() runs again
         bindings = evaluate(q.node, triples_ds,
-                            num_partitions=num_partitions)
+                            num_partitions=num_partitions).materialize()
         cols = [v for v in q.vars if v in bindings.schema().names]
         for r in bindings.select_columns(cols).take_all():
             for v in cols:

@@ -131,6 +131,9 @@ def c14n_dataset(ds, *, cols=("s", "p", "o"), g_col: Optional[str] = "g",
     """
     import ray
 
+    # read twice below (plain rows, bnode rows); materialized first so
+    # the schema probe does not run and then cancel a partial plan
+    ds = ds.materialize()
     has_g = g_col is not None and g_col in (ds.schema().names or [])
     use_cols = list(cols) + ([g_col] if has_g else [])
 

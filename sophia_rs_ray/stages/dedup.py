@@ -30,18 +30,6 @@ def prededup_batch(batch: pa.Table, key: str = "spo_key") -> pa.Table:
     return batch.take(first["_i_min"].combine_chunks())
 
 
-def split_spo_key(batch: pa.Table, key: str = "spo_key",
-                  cols=("s", "p", "o")) -> pa.Table:
-    parts = pc.split_pattern(batch[key], SEP, max_splits=len(cols) - 1)
-    data = {}
-    for i, c in enumerate(cols):
-        data[c] = pc.list_element(parts, i)
-    for c in batch.column_names:
-        if c != key:
-            data[c] = batch[c]
-    return pa.table(data)
-
-
 def dedup_triples(ds, carry_min: tuple = ("url",), with_count: bool = False,
                   num_partitions: int = 16):
     """Dataset of (s,p,o[,url,...]) NT-text rows → distinct triples.

@@ -22,22 +22,27 @@ Defaults: ``pos`` salt 8, ``spo``/``osp`` salt 1 (IRI subjects/objects
 are high-cardinality).
 
 **Lineage / checkpoint-resume (north rule).**  Every (shard, salt)
-partition writes its manifest atomically AFTER its data file; a re-run
+partition writes its manifest atomically AFTER its data file (an empty
+partition writes a ``rows: 0`` manifest and no data file); a re-run
 loads manifests, verifies data files exist, and recomputes only missing
 partitions (tested by deleting one shard in tests/test_materialize.py).
 
-**Exchange.**  One two-stage raw-task exchange (split blocks →
-per-partition objects → one write task per partition).  SURVEY §2
-"custom operators" option (c), chosen on measurement: Ray Data's
-sort-based ``groupby().map_groups`` exchange costs O(blocks×partitions)
-tiny objects, serializes against the upstream stage, and capped the
-8→32-CPU speedup of the flagship at ~1.3-2×; the direct hash exchange
-needs no sort and scales with the task pool.  The map side can run a
-per-block ``transform`` before it hashes (the flagship passes its
-extract + combiner there, so a page block becomes NT rows inside the
-same task that splits it).  Partitioning assumption, relied on for
-dedup and resume: a triple's partition is a pure function of its
-content (crc32 hash) — no coordination, deterministic across runs.
+**Exchange.**  The shared raw-task exchange of
+``functions.exchange.scatter``: ``_split_block`` is its per-block split
+(one object per (order, shard, salt) partition) and ``_write_partition``
+the one write task per partition over that partition's merge-tree
+pieces.  SURVEY §2 "custom operators" option (c), chosen on
+measurement: Ray Data's sort-based ``groupby().map_groups`` exchange
+costs O(blocks×partitions) tiny objects, serializes against the
+upstream stage, and capped the 8→32-CPU speedup of the flagship at
+~1.3-2×; the direct hash exchange needs no sort and scales with the
+task pool.  The map side can run a per-block ``transform`` before it
+hashes (the flagship passes its extract + combiner there, so a page
+block becomes NT rows inside the same task that splits it).
+Partitioning assumption, relied on for dedup and resume: a triple's
+partition is a pure function of its content (``_hash_arr``, kept apart
+from the exchange's ``_key_hash`` because shard routing is an on-disk
+format) — no coordination, deterministic across runs.
 
 **Scale notes.**  ``num_shards`` must grow with data (shard ≈ ≤1 GiB);
 the salt bound is per-order and static.  The digest is a *commutative*
@@ -52,11 +57,14 @@ import json
 import os
 import time
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from ..functions.exchange import (_concat_mixed, _undict, intern_threshold,
+                                  scatter)
 
 ORDERS: Dict[str, Tuple[str, str, str]] = {
     "spo": ("s", "p", "o"),
@@ -143,7 +151,8 @@ def load_manifest(out_dir: str, order: str) -> Dict[Tuple[int, int], dict]:
     partition, written atomically AFTER the data file (no cross-writer
     appends — each partition's lineage is self-contained).  A crashed
     writer leaves either nothing or a data file without a manifest;
-    both read as "not done"."""
+    both read as "not done".  A partition the exchange gave no rows
+    has a ``rows: 0`` manifest and no data file, and reads as done."""
     base = os.path.join(out_dir, order)
     done: Dict[Tuple[int, int], dict] = {}
     if not os.path.isdir(base):
@@ -156,10 +165,10 @@ def load_manifest(out_dir: str, order: str) -> Dict[Tuple[int, int], dict]:
             if not (f.startswith("_manifest-") and f.endswith(".json")):
                 continue
             salt = int(f[len("_manifest-"):-len(".json")])
-            fp = os.path.join(sd, f"part-{salt}.parquet")
-            if os.path.exists(fp):
-                with open(os.path.join(sd, f)) as fh:
-                    row = json.load(fh)
+            with open(os.path.join(sd, f)) as fh:
+                row = json.load(fh)
+            if row["rows"] == 0 or \
+                    os.path.exists(os.path.join(sd, f"part-{salt}.parquet")):
                 done[(row["shard"], row["salt"])] = row
     return done
 
@@ -175,7 +184,7 @@ def _write_one_partition(tbl: pa.Table, out_dir: str, order: str,
     cols = _order_cols(order)
     t0 = time.perf_counter()
     keep = [c for c in ("g", "s", "p", "o") if c in cols]
-    tbl = _decode_terms(tbl.select(keep))
+    tbl = _undict(tbl.select(keep))
     td = time.perf_counter()
     # defragment before sorting: exchanged partitions arrive as many
     # small concat chunks and sort_by's chunked take degrades badly
@@ -206,9 +215,10 @@ def _write_one_partition(tbl: pa.Table, out_dir: str, order: str,
     ts = time.perf_counter()
     d = os.path.join(out_dir, order, f"shard={shard}")
     os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, f"part-{salt}.parquet.tmp")
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, os.path.join(d, f"part-{salt}.parquet"))
+    if tbl.num_rows:  # an empty partition has no data file
+        tmp = os.path.join(d, f"part-{salt}.parquet.tmp")
+        pq.write_table(tbl, tmp)
+        os.replace(tmp, os.path.join(d, f"part-{salt}.parquet"))
     tw = time.perf_counter()
     row = {
         "t_dedup_ms": round(1000 * (td - t0), 1),
@@ -218,8 +228,8 @@ def _write_one_partition(tbl: pa.Table, out_dir: str, order: str,
         "t_sortcpu_ms": round(1000 * cso, 1),
         "t_write_ms": round(1000 * (tw - ts), 1),
         "order": order, "shard": shard, "salt": salt, "rows": tbl.num_rows,
-        "min_key": tbl[cols[0]][0].as_py(),
-        "max_key": tbl[cols[0]][tbl.num_rows - 1].as_py(),
+        "min_key": tbl[cols[0]][0].as_py() if tbl.num_rows else None,
+        "max_key": tbl[cols[0]][-1].as_py() if tbl.num_rows else None,
         "digest": _row_digests(tbl, keep),
         "wall_ms": round(1000 * (time.perf_counter() - t0), 1),
     }
@@ -262,7 +272,7 @@ def _intern_terms(cell: pa.Table, min_rows: int) -> pa.Table:
     the wire once per cell instead of once per row, cutting exchange
     bytes ~N×avg-multiplicity).  Exact: the dictionary carries the full
     strings, so no hash-collision risk; the writer decodes before its
-    sort (``_decode_terms``).  ``min_rows`` comes from
+    sort (``functions.exchange._undict``).  ``min_rows`` comes from
     ``functions.exchange.intern_threshold()``: huge on a single node
     (shared-memory object store — no bytes to save), 128 on real
     multi-node clusters."""
@@ -272,24 +282,14 @@ def _intern_terms(cell: pa.Table, min_rows: int) -> pa.Table:
                      for c in cell.column_names})
 
 
-def _decode_terms(tbl: pa.Table) -> pa.Table:
-    """Inverse of ``_intern_terms``: dictionary → large_string (Arrow
-    sort/group kernels don't take dictionary inputs)."""
-    cols = {}
-    for c in tbl.column_names:
-        col = tbl[c]
-        cols[c] = pc.cast(col, pa.large_string()) \
-            if pa.types.is_dictionary(col.type) else col
-    return pa.table(cols)
-
-
 def _split_block(tbl: pa.Table, orders: Tuple[str, ...], num_shards: int,
                  salts: Dict[str, int], done_keys: frozenset,
                  intern_min: int = 1 << 62,
                  transform: Optional[Callable[[pa.Table], pa.Table]] = None):
     """Map side: one input block → ``transform(block)`` (if given) →
-    one (possibly None) sub-table per partition, returned as separate
-    objects so each write task fetches ONLY its partition.  One stable
+    one (possibly None) sub-table per partition not in ``done_keys``,
+    in layout order, returned as separate objects so each write task
+    fetches ONLY its partition.  One stable
     argsort + zero-copy slices per order — NOT a filter per partition
     (that is O(partitions × rows))."""
     import numpy as np
@@ -326,7 +326,6 @@ def _split_block(tbl: pa.Table, orders: Tuple[str, ...], num_shards: int,
             for salt in range(n_salt):
                 j = shard * n_salt + salt
                 if (oi, shard, salt) in done_keys:
-                    out.append(None)
                     continue
                 lo, hi = int(bounds[j]), int(bounds[j + 1])
                 out.append(
@@ -335,107 +334,20 @@ def _split_block(tbl: pa.Table, orders: Tuple[str, ...], num_shards: int,
     return tuple(out)
 
 
-def _concat_pieces_mixed(parts):
-    """Concat partition pieces that may mix interned (dictionary) and
-    plain (large_string) schemas — small cells skip interning
-    (``_INTERN_MIN_ROWS``), so a partition can receive both."""
-    # schema objects with dict metadata are unhashable — compare by
-    # equality, not via a set
-    first = parts[0].schema
-    if any(p.schema != first for p in parts[1:]):
-        parts = [_decode_terms(p) for p in parts]
-    return pa.concat_tables(parts)
-
-
 def _write_partition(out_dir: str, order: str, shard: int, salt: int,
                      distinct: bool, *parts):
+    """Reduce side of the exchange: one (shard, salt) partition's
+    pieces → concat → :func:`_write_one_partition`."""
     t0 = time.perf_counter()
     parts = [p for p in parts if p is not None and p.num_rows]
-    if not parts:
-        return None
-    tbl = _concat_pieces_mixed(parts)
+    # an empty partition still commits its (rows 0) manifest, so a
+    # resume does not run the whole input exchange again for it
+    tbl = _concat_mixed(parts) if parts else pa.table(
+        {c: pa.array([], pa.large_string()) for c in _order_cols(order)})
     t1 = time.perf_counter()
     row = _write_one_partition(tbl, out_dir, order, shard, salt, distinct)
     row["t_concat_ms"] = round(1000 * (t1 - t0), 1)
     return row
-
-
-def _combine_pieces(*parts):
-    """Fan-in node of the exchange's merge tree: concat ≤ fanin piece
-    objects into one.  Exists so a write task never has to fetch
-    O(input_blocks) tiny objects — at 100-TB scale (10⁵ blocks ×
-    10³ partitions) the direct exchange's per-write argument list and
-    the driver's live-ref set both blow up; the tree caps each task at
-    ``fanin`` args and lets Ray free consumed pieces continuously."""
-    parts = [p for p in parts if p is not None and p.num_rows]
-    if not parts:
-        return None
-    return _concat_pieces_mixed(parts)
-
-
-def _materialize_exchange(nt_ds, out_dir: str, orders: List[str],
-                          num_shards: int, salts: Dict[str, int],
-                          resume: bool, distinct: bool, fanin: int,
-                          transform) -> Dict[str, dict]:
-    import ray
-
-    done = {o: (load_manifest(out_dir, o) if resume else {}) for o in orders}
-    for o in orders:
-        os.makedirs(os.path.join(out_dir, o), exist_ok=True)
-    done_keys = frozenset((oi, shard, salt) for oi, o in enumerate(orders)
-                          for (shard, salt) in done[o])
-    layout = _partition_layout(orders, num_shards, salts)
-    npart = len(layout)
-
-    split = ray.remote(num_returns=npart)(_split_block)
-    write = ray.remote(_write_partition)
-    # Stream blocks out of the (lazy) upstream pipeline and launch each
-    # block's split task the moment the block materializes — the map
-    # side of the exchange overlaps the upstream stage instead of
-    # waiting behind a full-dataset barrier (to_arrow_refs()).  Only
-    # the reduce (write) side runs after the last block.
-    combine = ray.remote(_combine_pieces)
-    # Per-partition merge tree (functions/exchange._MergeTree): bounds
-    # both the driver's live-ref set (O(npart · fanin · depth)) and
-    # every write/combine task's argument count at ``fanin``,
-    # independent of the input block count.  Below ``fanin`` blocks
-    # (every sandbox run) the tree is a single level and the plan is
-    # identical to the direct exchange.
-    from ..functions.exchange import _MergeTree
-
-    tree = _MergeTree(npart, fanin, lambda *refs: combine.remote(*refs))
-
-    active = [j for j, key in enumerate(layout) if key not in done_keys]
-
-    def feed(piece_refs) -> None:
-        for j in active:
-            tree.push(j, piece_refs[j])
-
-    from ..functions.exchange import intern_threshold
-
-    args = (tuple(orders), num_shards, salts, done_keys,
-            intern_threshold(), transform)
-    try:
-        for bundle in nt_ds.iter_internal_ref_bundles():
-            for r in bundle.block_refs:
-                feed(split.remote(r, *args))
-    except AttributeError:  # older Ray: no streaming ref API
-        for r in nt_ds.to_arrow_refs():
-            feed(split.remote(r, *args))
-
-    futures = {}
-    for j, (oi, shard, salt) in enumerate(layout):
-        if (oi, shard, salt) in done_keys:
-            continue
-        refs = tree.remaining(j)
-        futures[(oi, shard, salt)] = write.remote(
-            out_dir, orders[oi], shard, salt, distinct, *refs)
-    rows = ray.get(list(futures.values()))
-    written: Dict[str, Dict[Tuple[int, int], int]] = {o: {} for o in orders}
-    for (oi, shard, salt), row in zip(futures, rows):
-        if row is not None:
-            written[orders[oi]][(shard, salt)] = row["rows"]
-    return _report(orders, written, done)
 
 
 def materialize_graph(nt_ds, out_dir: str, *,
@@ -464,9 +376,33 @@ def materialize_graph(nt_ds, out_dir: str, *,
     module-level function or a ``functools.partial`` of one), and on
     ``distinct=True`` may drop duplicates within its block since the
     writer's dedup stays the exact one."""
+    import ray
+
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+    orders = list(orders)
     salts = dict(DEFAULT_SALTS if salts is None else salts)
-    return _materialize_exchange(nt_ds, out_dir, list(orders), num_shards,
-                                 salts, resume, distinct, fanin, transform)
+    done = {o: (load_manifest(out_dir, o) if resume else {}) for o in orders}
+    for o in orders:
+        os.makedirs(os.path.join(out_dir, o), exist_ok=True)
+    done_keys = frozenset((oi, shard, salt) for oi, o in enumerate(orders)
+                          for (shard, salt) in done[o])
+    todo = [key for key in _partition_layout(orders, num_shards, salts)
+            if key not in done_keys]
+    # nothing left to write: the input is never read
+    pieces, _ = scatter(
+        nt_ds, _split_block,
+        (tuple(orders), num_shards, salts, done_keys, intern_threshold(),
+         transform),
+        len(todo), fanin=fanin) if todo else ([], 0)
+    write = ray.remote(_write_partition)
+    rows = ray.get([write.remote(out_dir, orders[oi], shard, salt,
+                                 distinct, *refs)
+                    for (oi, shard, salt), refs in zip(todo, pieces)])
+    written: Dict[str, Dict[Tuple[int, int], int]] = {o: {} for o in orders}
+    for (oi, shard, salt), row in zip(todo, rows):
+        written[orders[oi]][(shard, salt)] = row["rows"]
+    return _report(orders, written, done)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,23 @@ def test_cosine_lsh_recall(emb_ds):
     assert len(lsh) >= 0.9 * len(exact)
 
 
+def test_ivf_single_bucket_layout(emb_ds, tmp_path):
+    """n_buckets=1 is a one-partition exchange: every vector lands in
+    bucket 0, and the indexed top-k equals brute force."""
+    from sophia_rs_ray.functions.ann import ivf_topk_indexed, materialize_ivf
+
+    out = str(tmp_path / "ivf1")
+    man = materialize_ivf(emb_ds, out, n_buckets=1)
+    assert man["buckets"] == {"0": emb_ds.count()}
+    rows = emb_ds.take_all()
+    q = next(r["embedding"] for r in rows if r["vec_id"] == 0)
+    exact = [r["vec_id"]
+             for r in brute_force_topk(emb_ds, q, k=5, exclude_id=0).take_all()]
+    got = [r["vec_id"] for r in
+           ivf_topk_indexed(out, q, k=5, n_probe=1, exclude_id=0).take_all()]
+    assert got == exact
+
+
 def test_ivf_persisted_layout_pruned_read(emb_ds, tmp_path):
     import os
 

@@ -8,6 +8,9 @@
   ArrowTypeError repro from round-3 ADVICE.
 """
 
+import os
+import re
+
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -20,12 +23,14 @@ def _tree_remaining_bound(n_pushes: int, fanin: int) -> None:
 
     def merge_fn(*refs):
         merges.append(len(refs))
-        return ("merged", len(refs))
+        return [x for r in refs for x in r]
 
     tree = _MergeTree(1, fanin, merge_fn)
     for i in range(n_pushes):
-        tree.push(0, i)
+        tree.push(0, [i])
     rem = tree.remaining(0)
+    # pieces reach the reduce in input order, merged or not
+    assert [x for r in rem for x in r] == list(range(n_pushes))
     depth = len(tree.levels[0])
     # every level holds < fanin refs, so the final consumer's arg list
     # is < fanin * depth regardless of n_pushes
@@ -154,23 +159,40 @@ def test_concat_mixed_unifies_dictionary_and_plain():
     assert out["s"].to_pylist() == ["a", "b", "b", "c"]
 
 
-def test_exchange_join_many_blocks_small_fanin(ray_session):
+def test_exchange_join_many_blocks_small_fanin(ray_session, tmp_path,
+                                               monkeypatch):
+    """300 single-row left blocks pass the fixed fanin of 256, so the
+    left side's pieces run through ``_merge_pieces`` nodes before the
+    join reduce (a marker file proves a node ran; the wrapper is
+    defined here so cloudpickle ships it by value)."""
     import ray.data as rd
 
+    from sophia_rs_ray.functions import exchange as ex
     from sophia_rs_ray.functions.exchange import exchange_join
+
+    marker = str(tmp_path / "merged")
+    orig = ex._merge_pieces
+
+    def marked(*parts):
+        open(marker, "a").close()
+        return orig(*parts)
+
+    monkeypatch.setattr(ex, "_merge_pieces", marked)
 
     left = rd.from_arrow([
         pa.table({"k": pa.array([f"k{i % 11}"]),
                   "l": pa.array([i], pa.int64())})
-        for i in range(64)
+        for i in range(300)
     ])
     right = rd.from_arrow([
         pa.table({"k": pa.array([f"k{j}"]),
                   "r": pa.array([j * 100], pa.int64())})
         for j in range(11)
     ])
+    assert left.num_blocks() > 256
     out = exchange_join(left, right, "inner", 2, on=["k"]).to_pandas()
-    assert len(out) == 64
+    assert len(out) == 300
+    assert os.path.exists(marker), "no merge-tree node ran"
     assert (out["r"] == out["k"].str.slice(1).astype(int) * 100).all()
 
 
@@ -277,3 +299,25 @@ def test_refs_core_chains_like_dataset(ray_session, n_blocks):
     assert rows(chained) == sorted(want.items())
     # same rows as the first exchange read back whole
     assert sum(gather(first)["v"].to_pylist()) == sum(want.values())
+
+
+def test_only_scatter_builds_exchanges():
+    """``functions.exchange.scatter`` is the one exchange map side: no
+    other module launches multi-return split tasks or builds a merge
+    tree of its own."""
+    import sophia_rs_ray
+
+    root = os.path.dirname(sophia_rs_ray.__file__)
+    home = os.path.join(root, "functions", "exchange.py")
+    offenders = []
+    for dirpath, _dirs, files in os.walk(root):
+        for f in files:
+            path = os.path.join(dirpath, f)
+            if not f.endswith(".py") or path == home:
+                continue
+            with open(path, encoding="utf-8") as fh:
+                for n, line in enumerate(fh, 1):
+                    if re.search(r"num_returns\s*=|_MergeTree\(", line):
+                        offenders.append(
+                            f"{os.path.relpath(path, root)}:{n}")
+    assert offenders == []

@@ -94,16 +94,15 @@ def test_job_orders_are_stripped(tmp_path):
     assert r["orders"] == "spo,pos" and r["triples"] > 0
 
 
-@pytest.mark.parametrize("orders", ["spo,xyz", "spo,spo", "spo,,pos"])
-def test_job_rejects_bad_orders_before_ray(orders, tmp_path, monkeypatch):
-    """A bad --orders exits with a usage error before ray.init (or any
-    other Ray call) runs."""
+def _rejected_before_ray(flags, tmp_path, monkeypatch):
+    """The job exits with a usage error before ray.init (or any other
+    Ray call) runs, and writes nothing."""
     import importlib.util
 
     import ray
 
     def no_ray(*_a, **_k):
-        raise AssertionError("Ray was touched before --orders was checked")
+        raise AssertionError("Ray was touched before the flags were checked")
 
     monkeypatch.setattr(ray, "init", no_ray)
     monkeypatch.setattr(ray, "is_initialized", no_ray)
@@ -112,8 +111,21 @@ def test_job_rejects_bad_orders_before_ray(orders, tmp_path, monkeypatch):
     spec.loader.exec_module(job)
     monkeypatch.setattr(sys, "argv", [
         JOB, "--synthetic", "10", "--output", str(tmp_path / "kg"),
-        "--orders", orders])
+        *flags])
     with pytest.raises(SystemExit) as exc:
         job.main()
     assert exc.value.code != 0
     assert not os.path.exists(tmp_path / "kg")
+
+
+@pytest.mark.parametrize("orders", ["spo,xyz", "spo,spo", "spo,,pos"])
+def test_job_rejects_bad_orders_before_ray(orders, tmp_path, monkeypatch):
+    _rejected_before_ray(["--orders", orders], tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("flags", [["--shards", "0"], ["--shards", "-3"],
+                                   ["--blocks", "0"], ["--blocks", "-1"]])
+def test_job_rejects_bad_counts_before_ray(flags, tmp_path, monkeypatch):
+    """A zero shard count would extract every page and report 0
+    triples; a zero block count has no meaning."""
+    _rejected_before_ray(flags, tmp_path, monkeypatch)

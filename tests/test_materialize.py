@@ -50,8 +50,12 @@ def test_layouts_sorted_and_complete(graph_dir):
         assert report[order]["rows"] == tbl.num_rows
         seen = 0
         for (shard, salt), row in load_manifest(out, order).items():
-            data = pq.read_table(os.path.join(
-                out, order, f"shard={shard}", f"part-{salt}.parquet"))
+            path = os.path.join(out, order, f"shard={shard}",
+                                f"part-{salt}.parquet")
+            if row["rows"] == 0:  # an empty partition has no data file
+                assert not os.path.exists(path)
+                continue
+            data = pq.read_table(path)
             seen += data.num_rows
             assert data.num_rows == row["rows"]
             # every row hashed to this shard by its leading term
@@ -130,6 +134,40 @@ def test_fanin_tree_matches_direct_exchange(graph_dir, ray_session, tmp_path):
         assert dataset_digest(out, o) == dataset_digest(out_direct, o)
 
 
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_single_partition_layout(ray_session, tmp_path, n_blocks):
+    """One order, one shard, no salt → a one-partition exchange (the
+    job's ``--orders spo --shards 1``).  Rows and digest equal a
+    brute-force distinct set of the input."""
+    import ray.data as rd
+
+    from sophia_rs_ray.stages.materialize import _row_digests
+
+    out = str(tmp_path / "one")
+    ds = rd.from_arrow(_nt_table()).repartition(n_blocks)
+    rep = materialize_graph(ds, out, orders=("spo",), num_shards=1,
+                            distinct=True)
+    tbl = _nt_table()
+    rows = sorted(set(zip(*(tbl[c].to_pylist() for c in "spo"))))
+    want = pa.table({c: pa.array([r[i] for r in rows], pa.large_string())
+                     for i, c in enumerate("spo")})
+    assert rep["spo"]["rows"] == len(rows) == tbl.num_rows - 1
+    assert list(load_manifest(out, "spo")) == [(0, 0)]
+    assert dataset_digest(out, "spo") == _row_digests(want, "spo")
+    assert pq.read_table(os.path.join(
+        out, "spo", "shard=0", "part-0.parquet")).equals(want)
+
+
+@pytest.mark.parametrize("num_shards", [0, -1])
+def test_rejects_shard_count_below_one(ray_session, tmp_path, num_shards):
+    import ray.data as rd
+
+    with pytest.raises(ValueError, match="num_shards"):
+        materialize_graph(rd.from_arrow(_nt_table()), str(tmp_path / "g"),
+                          num_shards=num_shards)
+    assert not os.path.exists(tmp_path / "g")
+
+
 def test_resume_skips_done_and_repairs_missing(graph_dir, ray_session):
     import ray.data as rd
 
@@ -153,6 +191,40 @@ def test_resume_skips_done_and_repairs_missing(graph_dir, ray_session):
     tbl = _nt_table()
     assert got == sum(1 for x in tbl["p"].to_pylist()
                       if x == "<http://ex.org/p/2>")
+
+
+def test_full_resume_reads_no_input(ray_session, tmp_path):
+    """Every partition already written, empty ones included: the re-run
+    never executes its input (an upstream stage that leaves a marker
+    file never runs)."""
+    import ray.data as rd
+
+    out = str(tmp_path / "g")
+    first = materialize_graph(rd.from_arrow(_nt_table()), out,
+                              num_shards=N_SHARDS, salts=SALTS)
+    for o in ORDERS:
+        assert len(first[o]["written"]) == N_SHARDS * SALTS[o]
+    # the layout has partitions that got no rows (5 predicates over
+    # 4 × 3 pos partitions), so the case they make is covered
+    empty = [r for r in load_manifest(out, "pos").values() if r["rows"] == 0]
+    assert empty and all(not os.path.exists(os.path.join(
+        out, "pos", f"shard={r['shard']}", f"part-{r['salt']}.parquet"))
+        for r in empty)
+
+    marker = str(tmp_path / "read")
+
+    def mark(block):
+        open(marker, "a").close()
+        return block
+
+    ds = rd.from_arrow(_nt_table()).map_batches(mark,
+                                                 batch_format="pyarrow")
+    report = materialize_graph(ds, out, num_shards=N_SHARDS, salts=SALTS)
+    assert not os.path.exists(marker)
+    for o in ORDERS:
+        assert report[o]["written"] == []
+        assert report[o]["rows"] == _nt_table().num_rows
+        assert dataset_digest(out, o) == dataset_digest(out, "spo")
 
 
 def test_sparql_over_materialized_graph(ray_session, tmp_path):
@@ -258,7 +330,7 @@ def test_resume_after_random_damage(seed, ray_session, tmp_path):
                 # manifest-only loss: data present but uncommitted —
                 # the shard must be rebuilt (manifest IS the commit)
                 for f in os.listdir(os.path.join(out, order, d)):
-                    if f.startswith("_MANIFEST"):
+                    if f.startswith("_manifest-"):
                         os.remove(os.path.join(out, order, d, f))
                         damaged += 1
     report = materialize_graph(rd.from_arrow(_nt_table()), out,

@@ -173,6 +173,37 @@ def test_bgp_join_and_filter(graph):
     assert got == [f"<http://d/{i}>" for i in (2, 3, 4, 5)]
 
 
+def test_bgp_join_runs_each_scan_once(graph, tmp_path):
+    """Reading a join operand's variables must not run its plan an
+    extra time: ``Dataset.schema()`` on a lazy plan executes it up to
+    the first block and cancels the tasks still running, so each scan
+    would run once partly and once whole (a marker file per input
+    batch counts the runs)."""
+    import os
+    import uuid
+
+    seen = tmp_path / "seen"
+    seen.mkdir()
+    marks = str(seen)
+
+    def mark(b: pa.Table) -> pa.Table:
+        open(os.path.join(marks, uuid.uuid4().hex), "w").close()
+        return b
+
+    triples = graph.repartition(4).materialize().map_batches(
+        mark, batch_format="pyarrow")
+    triples.materialize()
+    per_run = len(os.listdir(marks))
+    assert per_run >= 4
+    for f in os.listdir(marks):
+        os.remove(os.path.join(marks, f))
+
+    q = BGP([(Var("d"), iri(T_), iri("http://Doc")),
+             (Var("d"), iri(N_), Var("n"))])
+    assert evaluate(q, triples).count() == 6
+    assert len(os.listdir(marks)) == 2 * per_run  # two scans, one run each
+
+
 def test_bgp_repeated_variable(graph):
     # ?x knows ?x — nobody knows themselves
     q = BGP([(Var("x"), iri(KNOWS_), Var("x"))])
