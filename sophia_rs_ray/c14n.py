@@ -101,10 +101,6 @@ def _check_term(t: Term, position: str, strict: bool):
         raise UnsupportedError("RDFC-1.0 does not support blank node as predicate")
 
 
-def _hexdigest(data: bytes, hash_name: str) -> str:
-    return hashlib.new(hash_name, data).hexdigest()
-
-
 def hash_first_degree(bnid: str, quads: Sequence[Quad],
                       hash_name: str = "sha256") -> str:
     """<https://www.w3.org/TR/rdf-canon/#hash-1d-quads> — hex digest.

@@ -154,24 +154,3 @@ def datatypes_for(lex: str, dt: str) -> Optional[List[str]]:
                 if (lo is None or iv >= lo) and (hi is None or iv <= hi):
                     out.append(d2)
     return out
-
-
-def value_key(lex: str, dt: str) -> Optional[Tuple]:
-    """A hashable value-space key for recognized datatypes: literals
-    with equal keys denote the same value (drives value-based
-    entailment like ``1 ⟹ 1.0``).  None when unrecognized."""
-    if dt not in _RECOGNIZED:
-        return None
-    if dt in _INT_BOUNDS or dt == XSD + "decimal":
-        from fractions import Fraction
-
-        return ("num", Fraction(lex))
-    if dt in (XSD + "double", XSD + "float"):
-        if lex == "NaN":
-            return ("nan", dt)
-        return ("num", float(lex))
-    if dt == XSD + "boolean":
-        return ("bool", lex == "true")
-    if dt == XSD + "string":
-        return ("str", lex)
-    return ("dt", lex)

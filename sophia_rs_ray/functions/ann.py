@@ -241,14 +241,8 @@ def cosine_near_dup_lsh(emb_ds, *, threshold: float = 0.4,
 
 #: rows above which the exact O(N²) tile plans refuse to be the default
 #: plan: the registry entries (pipelines/queries.py) route inputs larger
-#: than this through the near-linear LSH siblings instead (mirrors the
-#: _MAPPING_BROADCAST_LIMIT / _DECONTAM_BROADCAST_LIMIT precedent).
-#: Overridable for tests via SOPHIA_EXACT_SIM_LIMIT.
+#: than this through the near-linear LSH siblings instead.
 EXACT_SIM_LIMIT = 200_000
-
-
-def exact_sim_limit() -> int:
-    return int(os.environ.get("SOPHIA_EXACT_SIM_LIMIT", EXACT_SIM_LIMIT))
 
 
 def knn_self_join_lsh(emb_ds, *, k: int = 3, n_planes: int = 128,
@@ -313,17 +307,19 @@ def _split_ivf_impl(tbl: pa.Table, n_buckets: int, seed: int):
                  for j in range(n_buckets))
 
 
-def _write_ivf_impl(out_dir: str, j: int, *parts) -> int:
+def _write_ivf_impl(out_dir: str, j: int, *parts):
+    """Bucket ``j``'s pieces → its Parquet file; returns (rows, dim),
+    dim None for an empty bucket."""
     import pyarrow.parquet as pq
 
     parts = [p for p in parts if p is not None and p.num_rows]
     if not parts:
-        return 0
+        return 0, None
     t = pa.concat_tables(parts)
     tmp = os.path.join(out_dir, f".bucket-{j:05d}.parquet.tmp")
     pq.write_table(t, tmp)
     os.replace(tmp, os.path.join(out_dir, f"bucket-{j:05d}.parquet"))
-    return t.num_rows
+    return t.num_rows, len(t["embedding"][0].as_py())
 
 
 _write_ivf = _ray.remote(_write_ivf_impl)
@@ -349,18 +345,13 @@ def materialize_ivf(emb_ds, out_dir: str, *, n_buckets: int = 16,
         if man.get("n_buckets") == n_buckets and man.get("seed") == seed:
             return man
     os.makedirs(out_dir, exist_ok=True)
-    refs = emb_ds.to_arrow_refs()
-    dim = None
-    for r in refs:
-        t = ray.get(r)
-        if t.num_rows:
-            dim = len(t["embedding"][0].as_py())
-            break
+    pieces, _ = scatter(emb_ds, _split_ivf_impl, (n_buckets, seed),
+                        n_buckets)
+    rows, dims = zip(*ray.get([_write_ivf.remote(out_dir, j, *p)
+                               for j, p in enumerate(pieces)]))
+    dim = next((d for d in dims if d is not None), None)
     if dim is None:
         raise ValueError("empty embedding dataset")
-    pieces, _ = scatter(refs, _split_ivf_impl, (n_buckets, seed), n_buckets)
-    rows = ray.get([_write_ivf.remote(out_dir, j, *p)
-                    for j, p in enumerate(pieces)])
     man = {"n_buckets": n_buckets, "seed": seed, "dim": dim,
            "buckets": {str(j): n for j, n in enumerate(rows)}}
     tmp = man_path + ".tmp"
@@ -600,6 +591,7 @@ def semdedup(emb_ds, cent_ds, *, k: int = SEMDEDUP_K,
     engine and oracle sides (the ANN float-parity convention)."""
     import ray
 
+    from .broadcast import worker_cached
     from .exchange import hash_aggregate
 
     # fixed-size centroid side: driver pull bounded at k rows
@@ -624,8 +616,7 @@ def semdedup(emb_ds, cent_ds, *, k: int = SEMDEDUP_K,
 
     def assign(t: pa.Table) -> pa.Table:
         ids, mat = _mat_of(t)
-        cds_, cm = ray.get(cent_ref) if isinstance(
-            cent_ref, ray.ObjectRef) else cent_ref
+        cds_, cm = worker_cached(cent_ref, tuple)
         if len(ids) == 0 or len(cds_) == 0:
             return pa.table({"vec_id": pa.array([], pa.int64()),
                              "cluster": pa.array([], pa.int64()),

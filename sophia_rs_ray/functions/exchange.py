@@ -275,6 +275,22 @@ def _first(t):
     return t[0]
 
 
+_REMOTES: dict = {}
+
+
+def _remote(fn):
+    """The one ``ray.remote`` wrap of module-level ``fn`` per process.
+    A fresh wrap is a new task type that Ray exports again on every
+    call; callers look ``fn`` up at call time, so a patched kernel gets
+    its own wrap."""
+    r = _REMOTES.get(fn)
+    if r is None:
+        import ray
+
+        r = _REMOTES[fn] = ray.remote(fn)
+    return r
+
+
 def scatter(src, split, args: tuple, num_partitions: int, *,
             fanin: int = 256):
     """The exchange map side: ``split(block, *args)`` once per input
@@ -291,13 +307,12 @@ def scatter(src, split, args: tuple, num_partitions: int, *,
     rejects ``functools.partial`` as a remote function — and its extra
     arguments travel in ``args``.  Below ``fanin`` blocks the tree is a
     single level and the plan is the direct exchange, task for task."""
-    import ray
-
-    task = ray.remote(num_returns=num_partitions)(split) \
-        if num_partitions > 1 else ray.remote(split)
+    task = _remote(split)
+    if num_partitions > 1:
+        task = task.options(num_returns=num_partitions)
     # num_returns=1 tasks return the 1-tuple itself; unwrap remotely
-    unwrap = ray.remote(_first) if num_partitions == 1 else None
-    merge = ray.remote(_merge_pieces)
+    unwrap = _remote(_first) if num_partitions == 1 else None
+    merge = _remote(_merge_pieces)
     tree = _MergeTree(num_partitions, fanin,
                       lambda *refs: merge.remote(*refs))
     n_blocks = 0
@@ -399,7 +414,7 @@ def hash_aggregate_refs(src, key_cols: Sequence[str],
                 fallback = combine(fallback)
         except Exception:
             fallback = None
-    reduce = ray.remote(_reduce_side)
+    reduce = _remote(_reduce_side)
     return [reduce.remote(finalize, fallback, *p) for p in pieces]
 
 
@@ -435,7 +450,7 @@ def map_partitions(refs, fn) -> list:
     results on the driver, e.g. row counts for a broadcast gate."""
     import ray
 
-    task = ray.remote(_apply)
+    task = _remote(_apply)
     return ray.get([task.remote(fn, r) for r in refs])
 
 
@@ -513,7 +528,7 @@ def exchange_join(left_ds, right_ds, join_type: str, num_partitions: int,
             left_suffix=left_suffix, right_suffix=right_suffix,
             use_threads=False))
 
-    reduce = ray.remote(_join_reduce)
+    reduce = _remote(_join_reduce)
     out = [reduce.remote(join_type, tuple(on), tuple(right_on),
                          left_suffix, right_suffix, len(l_cols[j]),
                          *l_cols[j], *r_cols[j])

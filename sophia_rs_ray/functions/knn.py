@@ -1,7 +1,7 @@
 """Approximate/exact nearest-neighbor search over an embedding column.
 
 Baseline: brute-force cosine top-k — numpy matmul per batch against a
-broadcast query matrix (``ray.put`` once, read per task).  The
+broadcast query matrix (``ray.put`` once, read once per worker).  The
 candidate-pruning scale paths (LSH buckets, the persisted IVF layout)
 live in ``functions.ann``.
 """
@@ -27,13 +27,14 @@ def brute_force_topk(ds, query_vec: np.ndarray, k: int = 10,
     sort-desc + limit (the distributed top-k)."""
     import ray
 
+    from .broadcast import worker_cached
+
     q = np.asarray(query_vec, np.float64)
     q = q / max(np.linalg.norm(q), 1e-30)
     q_ref = ray.put(q)
 
     def score(b: pa.Table) -> pa.Table:
         import pyarrow.compute as _pc
-        import ray as _ray
 
         # null embeddings are skipped (oracle: WHERE embedding IS NOT
         # NULL) — one bad row must not kill a 100-TB job
@@ -41,7 +42,7 @@ def brute_force_topk(ds, query_vec: np.ndarray, k: int = 10,
         if b.num_rows == 0:
             return pa.table({id_col: pa.array([], b[id_col].type),
                              "sim": pa.array([], pa.float64())})
-        qv = _ray.get(q_ref)
+        qv = worker_cached(q_ref, np.asarray)
         m = _matrix(b[emb_col])
         norms = np.linalg.norm(m, axis=1)
         sims = (m @ qv) / np.maximum(norms, 1e-30)

@@ -203,10 +203,9 @@ def asof_join(left_ds, right_ds, *, on: str, ts: str,
     input-order) — pre-deduplicate the right side for full
     determinism across repartitions.
     """
-    import ray
     import ray.data as rd
 
-    from .exchange import _map_side, scatter
+    from .exchange import _map_side, _remote, scatter
 
     right_ts = right_ts or ts
     l_parts, n_l = scatter(left_ds, _map_side,
@@ -230,7 +229,7 @@ def asof_join(left_ds, right_ds, *, on: str, ts: str,
             return b
         return left_ds.map_batches(nulls, batch_format="pyarrow")
 
-    reduce = ray.remote(_asof_reduce)
+    reduce = _remote(_asof_reduce)
     out = [reduce.remote(on, ts, right_ts, tuple(r_cols), suffix,
                          tolerance_us, len(lp), *lp, *rp)
            for lp, rp in zip(l_parts, r_parts)]

@@ -20,17 +20,7 @@ import functools
 import pyarrow as pa
 
 from ..stages.dedup import add_spo_key, dedup_triples, prededup_batch
-from ..stages.extract import (extract_nt_batch, extract_text_batch,
-                              extract_triples_batch)
-
-
-def extract_triples(pages_ds, batch_size: int = 256):
-    """pages → flat term-column triple rows (incl. error rows)."""
-    return pages_ds.map_batches(
-        extract_triples_batch,
-        batch_format="pyarrow",
-        batch_size=batch_size,  # html is multi-KB per row: keep batches modest
-    )
+from ..stages.extract import extract_nt_batch, extract_text_batch
 
 
 def kg_pipeline(pages_ds, *, dedup: bool = True, sort: bool = True,

@@ -749,29 +749,6 @@ LEFT JOIN (SELECT doc_id, count(*) AS c FROM singles GROUP BY 1) n
 #: fixed SIZE regardless of corpus scale, like a real eval set (small
 #: enough that the fuzz harness's 20-doc corpora keep non-bench docs)
 DECONTAM_BENCH_MAX_ID = 10
-#: broadcast gate: above this many benchmark shingles, fall back to the
-#: distributed semi-join (real benchmarks are ≤ a few M shingles, so
-#: the broadcast path is the expected one at any corpus scale)
-_DECONTAM_BROADCAST_LIMIT = 5_000_000
-
-_BENCH_SET_CACHE: dict = {}
-
-
-def _cached_bench_array(ref):
-    """Per-worker cache of the broadcast benchmark-shingle Arrow array
-    (the task-pool analogue of actor ``__init__``, same idiom as
-    stages/ner._cached_detector)."""
-    import ray
-
-    key = ref.binary() if isinstance(ref, ray.ObjectRef) else id(ref)
-    arr = _BENCH_SET_CACHE.get(key)
-    if arr is None:
-        if len(_BENCH_SET_CACHE) > 4:
-            _BENCH_SET_CACHE.clear()
-        vals = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        arr = pa.array(vals, pa.string())
-        _BENCH_SET_CACHE[key] = arr
-    return arr
 
 
 def _decontam_pairs(sf_dir: str):
@@ -802,34 +779,25 @@ def _decontam_zeros(sf_dir: str):
         batch_format="pyarrow")
 
 
-class _BroadcastGateExceeded(Exception):
-    """Benchmark shingle rows exceed the broadcast gate — the caller
-    must route to the distributed semi-join plan."""
+def _bench_shingles(bench: pa.Table):
+    """The distinct shingles of the gathered benchmark pairs."""
+    if not bench.num_rows:
+        return pa.array([], pa.string())
+    return pc.unique(bench["sh"])
 
 
-def _decontaminate_broadcast(pairs, bench_pairs, zeros):
+def _decontaminate_broadcast(pairs, bench_ref, zeros):
     """Benchmark decontamination, broadcast plan: the benchmark's
-    shingle set is collected once (it is fixed-size by construction),
-    ``ray.put`` once, and every task filters its own shingles against
-    the node-local copy — no shuffle of the corpus side at all.
-
-    Driver memory is bounded BY the gate: the collection is a
-    ``take(limit+1)`` — one row over the limit aborts the plan with
-    :class:`_BroadcastGateExceeded` (caught by ``_decontaminate``,
-    which falls back to ``_decontaminate_exchange``) instead of
-    pulling an unbounded set to the driver (ADVICE r4)."""
-    import ray
-
+    shingle pairs (fixed-size by construction, gathered under the
+    broadcast gate) are ``ray.put`` once as ``bench_ref``, and every
+    task filters its own shingles against the node-local distinct set
+    — no shuffle of the corpus side at all."""
     import pyarrow.compute as pc
 
-    rows = bench_pairs.take(_DECONTAM_BROADCAST_LIMIT + 1)
-    if len(rows) > _DECONTAM_BROADCAST_LIMIT:
-        raise _BroadcastGateExceeded
-    bench = sorted({r["sh"] for r in rows})
-    ref = ray.put(bench)
+    from ..functions.broadcast import worker_cached
 
     def score(t: pa.Table) -> pa.Table:
-        arr = _cached_bench_array(ref)
+        arr = worker_cached(bench_ref, _bench_shingles)
         rest = t.filter(pc.greater_equal(
             t["doc_id"], pa.scalar(DECONTAM_BENCH_MAX_ID,
                                    t["doc_id"].type)))
@@ -867,7 +835,7 @@ def _decontaminate_exchange(pairs, zeros):
     """Distributed fallback for an over-gate benchmark: semi-join by
     shingle hash partition (bench membership resolved per partition),
     then a per-doc count exchange.  Equality with the broadcast plan is
-    pinned in tests/test_r4_ops.py."""
+    pinned in tests/test_broadcast.py."""
     import pyarrow.compute as pc
 
     from ..functions.exchange import hash_aggregate
@@ -905,10 +873,10 @@ def _decontaminate(sf_dir: str):
     contamination-removal candidates every LLM training pipeline
     filters before training.  The benchmark side is a separate pruned
     read (row-group filter pushdown on doc_id)."""
+    import ray
     import ray.data as rd
 
-    import pyarrow.compute as pc
-
+    from ..functions.broadcast import BROADCAST_ROWS, gated_gather
     from ..functions.text import shingle_pairs_batch
 
     bench_docs = rd.read_parquet(
@@ -916,16 +884,15 @@ def _decontaminate(sf_dir: str):
         filter=pc.field("doc_id") < DECONTAM_BENCH_MAX_ID)
     bench_pairs = bench_docs.map_batches(shingle_pairs_batch,
                                          batch_format="pyarrow")
-    # Over-gate benchmarks auto-route to the distributed semi-join; the
-    # broadcast plan's take(limit+1) bounds driver memory AT the gate,
-    # so the common case costs one bench-side execution (plan
-    # equivalence pinned in tests/test_r4_ops.py).
-    try:
-        return _decontaminate_broadcast(
-            _decontam_pairs(sf_dir), bench_pairs, _decontam_zeros(sf_dir))
-    except _BroadcastGateExceeded:
+    # over-gate benchmarks route to the distributed semi-join (plan
+    # equivalence pinned in tests/test_broadcast.py)
+    bench = gated_gather(bench_pairs, BROADCAST_ROWS)
+    if bench is None:
         return _decontaminate_exchange(_decontam_pairs(sf_dir),
                                        _decontam_zeros(sf_dir))
+    return _decontaminate_broadcast(_decontam_pairs(sf_dir),
+                                    ray.put(bench),
+                                    _decontam_zeros(sf_dir))
 
 
 def _decontaminate_sql() -> str:
@@ -1560,20 +1527,13 @@ WHERE CAST('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8) AS UBIGINT)
       < CAST('0x' || substr(md5(source), 1, 8) AS UBIGINT) % 81 + 10
 """
 
-_MIX_CACHE: dict = {}
 
-
-def _cached_mix_thresholds(ref):
-    import ray
-
-    key = ref.binary() if isinstance(ref, ray.ObjectRef) else id(ref)
-    t = _MIX_CACHE.get(key)
-    if t is None:
-        if len(_MIX_CACHE) > 4:
-            _MIX_CACHE.clear()
-        t = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        _MIX_CACHE[key] = t
-    return t
+def _mix_lut(thresholds: dict):
+    """Broadcast {source: threshold} → (sources, thresholds + a 0 for
+    unknown sources) lookup arrays."""
+    srcs = list(thresholds)
+    return (pa.array(srcs),
+            np.array([thresholds[s] for s in srcs] + [0], np.int64))
 
 
 def _source_mixture(sf_dir: str):
@@ -1592,6 +1552,7 @@ def _source_mixture(sf_dir: str):
     import ray
     import ray.data as rd
 
+    from ..functions.broadcast import worker_cached
     from ..functions.exchange import gather, hash_aggregate_refs
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1628,12 +1589,9 @@ def _source_mixture(sf_dir: str):
     def keep(b: pa.Table) -> pa.Table:
         from ..functions.md5np import md5_prefix_u32_arrow
 
-        th = _cached_mix_thresholds(ref)
+        srcs, lut = worker_cached(ref, _mix_lut)
         h = md5_prefix_u32_arrow(b["doc_id"]).astype(np.int64) % 1000000
-        srcs = list(th)
-        idx = pc.fill_null(pc.index_in(b["source"], pa.array(srcs)),
-                           len(srcs))
-        lut = np.array([th[s] for s in srcs] + [0], np.int64)
+        idx = pc.fill_null(pc.index_in(b["source"], srcs), len(srcs))
         lim = lut[idx.to_numpy(zero_copy_only=False).astype(np.int64)]
         return b.filter(pa.array(h < lim))
 
@@ -1761,7 +1719,7 @@ def _knn(sf_dir: str):
 def _emb_rows(sf_dir: str) -> int:
     """Row count of the embeddings table from Parquet footer metadata —
     zero data read; the size gate that routes the exact O(N²) plans to
-    their near-linear LSH siblings above ``exact_sim_limit()`` rows."""
+    their near-linear LSH siblings above ``EXACT_SIM_LIMIT`` rows."""
     import pyarrow.parquet as pq
 
     return pq.ParquetFile(f"{sf_dir}/embeddings.parquet").metadata.num_rows
@@ -1770,18 +1728,18 @@ def _emb_rows(sf_dir: str) -> int:
 def _knn_self_join(sf_dir: str):
     """KNN self-join: top-3 cosine neighbors of EVERY vector.  Exact
     (distributed ordered-chunk tiles + one per-id top-k merge exchange,
-    functions/ann.knn_self_join) below ``exact_sim_limit()`` rows; above
+    functions/ann.knn_self_join) below ``EXACT_SIM_LIMIT`` rows; above
     it the plan routes to the near-linear LSH sibling
     (``knn_self_join_lsh``) so the default is never O(N²) at scale —
     recall of the gated plan vs exact is pinned in tests/test_ann.py."""
     import ray.data as rd
 
-    from ..functions.ann import (exact_sim_limit, knn_self_join,
+    from ..functions.ann import (EXACT_SIM_LIMIT, knn_self_join,
                                  knn_self_join_lsh)
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
-    if _emb_rows(sf_dir) > exact_sim_limit():
+    if _emb_rows(sf_dir) > EXACT_SIM_LIMIT:
         return knn_self_join_lsh(ds, k=3)
     return knn_self_join(ds, k=3, batch_size=512)
 
@@ -1818,19 +1776,19 @@ ORDER BY sim DESC, vec_id LIMIT 10
 def _embedding_near_dup(sf_dir: str):
     """Embedding-cosine near-duplicate pairs (sim ≥ 0.4).  EXACT via
     distributed block×block tile tasks (no driver materialization, no
-    full-matrix broadcast) below ``exact_sim_limit()`` rows; above it
+    full-matrix broadcast) below ``EXACT_SIM_LIMIT`` rows; above it
     the plan routes to the SimHash-banded LSH sibling so the default is
     never O(N²) at scale (recall pinned in tests/test_ann.py; the
     explicit ``embedding_near_dup_lsh`` entry stays the always-LSH
     path)."""
     import ray.data as rd
 
-    from ..functions.ann import (cosine_near_dup, cosine_near_dup_lsh,
-                                 exact_sim_limit)
+    from ..functions.ann import (EXACT_SIM_LIMIT, cosine_near_dup,
+                                 cosine_near_dup_lsh)
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
-    if _emb_rows(sf_dir) > exact_sim_limit():
+    if _emb_rows(sf_dir) > EXACT_SIM_LIMIT:
         return cosine_near_dup_lsh(ds, threshold=0.4)
     return cosine_near_dup(ds, threshold=0.4)
 
@@ -2947,31 +2905,11 @@ SELECT x AS doc_id, min(y) AS cluster FROM reach GROUP BY x
 # bigram language-model scoring + document chunking (round 5)
 # ---------------------------------------------------------------------------
 
-#: bigram-LM broadcast gate: above this many distinct corpus bigrams the
-#: (bigram, logprob) table stops being a broadcast-sized model and the
-#: plan auto-routes through the distributed-join scoring plan
-#: (decontaminate precedent — gated with take(limit+1), never a
-#: driver-side take_all of an unbounded table).
-_LM_BROADCAST_LIMIT = 2_000_000
-
-_LM_FRAME_CACHE: dict = {}
-
-
-def _cached_lm_frame(ref):
-    """Per-worker cache of the broadcast (bigram → log2 prob) polars
-    frame (same idiom as :func:`_cached_bench_array`)."""
+def _polars_frame(t: pa.Table):
+    """A broadcast score table as the polars frame the scorers join."""
     import polars as pl
-    import ray
 
-    key = ref.binary() if isinstance(ref, ray.ObjectRef) else id(ref)
-    f = _LM_FRAME_CACHE.get(key)
-    if f is None:
-        if len(_LM_FRAME_CACHE) > 4:
-            _LM_FRAME_CACHE.clear()
-        tbl = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        f = pl.from_arrow(tbl)
-        _LM_FRAME_CACHE[key] = f
-    return f
+    return pl.from_arrow(t)
 
 
 def _lm_trained(sf_dir: str):
@@ -3034,14 +2972,16 @@ def _lm_score(sf_dir: str):
     combiner-first exchange, nothing materializes driver-side except
     the gated model table.  Default plan broadcasts the (bigram, lp)
     model (``ray.put`` once, per-worker cached frame); above
-    ``_LM_BROADCAST_LIMIT`` distinct bigrams — counted where the
-    trained partitions live, before any fetch — it auto-routes through
-    the distributed-join plan (:func:`_lm_score_exchange`), pinned
-    equal in tests/test_lm_chunk.py."""
+    ``BROADCAST_ROWS`` distinct bigrams — counted where the trained
+    partitions live, before any fetch — it auto-routes through the
+    distributed-join plan (:func:`_lm_score_exchange`), pinned equal
+    in tests/test_broadcast.py."""
     import ray
     import ray.data as rd
 
-    from ..functions.exchange import gather, map_partitions
+    from ..functions.broadcast import (BROADCAST_ROWS, gated_gather,
+                                       worker_cached)
+    from ..functions.exchange import map_partitions
     from ..functions.text import doc_bigram_batch
 
     def split_bg(t: pa.Table) -> pa.Table:
@@ -3049,14 +2989,14 @@ def _lm_score(sf_dir: str):
         return pa.table({"bigram": f["key"], "c": f["c"]})
 
     trained = _lm_trained(sf_dir)
-    n_bg, v = (sum(x) for x in
-               zip(*map_partitions(trained, _lm_row_kinds)))
-    if n_bg > _LM_BROADCAST_LIMIT:
+    model = gated_gather(trained, BROADCAST_ROWS,
+                         count=lambda t: _lm_row_kinds(t)[0])
+    if model is None:
+        v = sum(map_partitions(trained, lambda t: _lm_row_kinds(t)[1]))
         return _lm_score_exchange(
             sf_dir, rd.from_arrow_refs(trained).map_batches(
                 split_bg, batch_format="pyarrow"), v)
-    counts = split_bg(gather(trained))
-    ref = ray.put(_lm_attach_lp(counts, v))
+    ref = ray.put(_lm_attach_lp(split_bg(model), _lm_row_kinds(model)[1]))
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
@@ -3064,7 +3004,7 @@ def _lm_score(sf_dir: str):
     def score(b: pa.Table) -> pa.Table:
         import polars as pl
 
-        lmf = _cached_lm_frame(ref)
+        lmf = worker_cached(ref, _polars_frame)
         pairs = pl.from_arrow(doc_bigram_batch(b))
         agg = (pairs.join(lmf, on="bigram", how="left")
                .group_by("doc_id")
@@ -3240,19 +3180,20 @@ def _dsir_weights(sf_dir: str):
 
     Two streaming passes (count, score).  Default plan broadcasts the
     (tok, lr) table (gated, per-worker cached frame); above
-    ``_LM_BROADCAST_LIMIT`` distinct tokens — counted where the count
+    ``BROADCAST_ROWS`` distinct tokens — counted where the count
     partitions live, before any fetch — it auto-routes through the
-    distributed-join plan, pinned equal in tests/test_lm_chunk.py."""
+    distributed-join plan, pinned equal in tests/test_broadcast.py."""
     import ray
     import ray.data as rd
 
-    from ..functions.exchange import gather, map_partitions
+    from ..functions.broadcast import (BROADCAST_ROWS, gated_gather,
+                                       worker_cached)
     from ..functions.text import doc_token_batch
 
     cnt = _dsir_token_counts(sf_dir)
-    if sum(map_partitions(cnt, len)) > _LM_BROADCAST_LIMIT:
+    counts = gated_gather(cnt, BROADCAST_ROWS)
+    if counts is None:
         return _dsir_weights_exchange(sf_dir, rd.from_arrow_refs(cnt))
-    counts = gather(cnt)
     tt = int(pc.sum(counts["c_tgt"]).as_py() or 0)
     at = int(pc.sum(counts["c_all"]).as_py() or 0)
     ref = ray.put(_dsir_lr_table(counts, tt, at, counts.num_rows))
@@ -3263,7 +3204,7 @@ def _dsir_weights(sf_dir: str):
     def score(b: pa.Table) -> pa.Table:
         import polars as pl
 
-        lrf = _cached_lm_frame(ref)
+        lrf = worker_cached(ref, _polars_frame)
         pairs = pl.from_arrow(doc_token_batch(b))
         agg = (pairs.join(lrf, on="tok", how="left")
                .group_by("doc_id")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.broadcast import worker_cached
 from ..util import round_away
 from ..util import safe_join
 
@@ -31,12 +32,6 @@ def _read(sf_dir: str, table: str, columns=None):
     import ray.data as rd
 
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _round_col(b: pa.Table, col: str, digits: int) -> pa.Table:
-    i = b.column_names.index(col)
-    rounded = pa.array(round_away(b[col].to_numpy(zero_copy_only=False), digits))
-    return b.set_column(i, col, rounded)
 
 
 def _cents(col, scale: float = 1e2):
@@ -212,8 +207,7 @@ def customers_per_region(sf_dir: str):
     ds = _read(sf_dir, "customer", ["c_nationkey"])
 
     def partial(b: pa.Table) -> pa.Table:
-        import ray as _ray
-        keys_arr, names_arr = _ray.get(lookup_ref)
+        keys_arr, names_arr = worker_cached(lookup_ref, tuple)
         idx = pc.index_in(pc.cast(b["c_nationkey"], pa.int64()),
                           value_set=keys_arr)
         t = pa.table({"r_name": pc.take(names_arr, idx),
@@ -293,13 +287,6 @@ GROUP BY c_mktsegment
 """
 
 
-#: build-side row count above which semi/anti joins stop broadcasting a
-#: driver-collected key set and run a distributed left_semi/left_anti
-#: Dataset.join instead (the driver would otherwise be both the
-#: bandwidth and the memory bottleneck — r1 VERDICT item 5)
-_BROADCAST_KEY_LIMIT = 2_000_000
-
-
 def _distinct_keys(ds, col: str, num_partitions: int = 16):
     """Distinct values of one column via the hash exchange (per-block
     combiner first — no full-row shuffle)."""
@@ -313,33 +300,41 @@ def _distinct_keys(ds, col: str, num_partitions: int = 16):
 
 
 def _semi_anti_counted(left, build, key_left: str, key_right: str,
-                       anti: bool, group_fn, *,
-                       force_distributed: bool = False):
-    """Semi/anti join + grouped count with an explicit scale gate:
-    below ``_BROADCAST_KEY_LIMIT`` build rows the distinct key set is
-    collected once and broadcast via ``ray.put`` (no shuffle); above
-    it, a distributed ``left_semi``/``left_anti`` Dataset.join."""
+                       anti: bool, group_fn):
+    """Semi/anti join + grouped count with an explicit scale gate: at
+    or under ``BROADCAST_ROWS`` build rows the build key column is
+    gathered once and broadcast via ``ray.put`` (no shuffle;
+    ``group_fn`` filters with :func:`_key_filter`); above it, a
+    distributed ``left_semi``/``left_anti`` join."""
     import ray
-    from ..util import safe_join as _sj
+
+    from ..functions.broadcast import BROADCAST_ROWS, gated_gather
 
     build = build.materialize()
-    if force_distributed or build.count() > _BROADCAST_KEY_LIMIT:
+    keys = gated_gather(build, BROADCAST_ROWS)
+    if keys is None:
         marker = _distinct_keys(build, key_right)
         how = "left_anti" if anti else "left_semi"
-        filtered = _sj(left, marker, how, 16,
-                       on=(key_left,), right_on=(key_right,))
+        filtered = safe_join(left, marker, how, 16,
+                             on=(key_left,), right_on=(key_right,))
         return group_fn(filtered, None)
-    keys = set()
-    for b in build.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        keys.update(b[key_right].to_pylist())
-    return group_fn(left, ray.put(keys))
+    col = keys[key_right] if keys.num_rows else pa.array([], pa.int64())
+    return group_fn(left, ray.put(col))
 
 
-def customers_without_orders(sf_dir: str, *, force_distributed: bool = False):
+def _key_filter(b: pa.Table, col: str, keys_ref, anti: bool) -> pa.Table:
+    """Rows of ``b`` whose ``col`` is (semi) or is not (anti) in the
+    broadcast key column — SQL ``=``: a NULL key matches nothing."""
+    hit = pc.is_in(b[col], value_set=worker_cached(keys_ref, pc.unique),
+                   skip_nulls=True)
+    return b.filter(pc.invert(hit) if anti else hit)
+
+
+def customers_without_orders(sf_dir: str):
     """Anti join (SPARQL MINUS, exec.rs:754-790): customers with no
     *large* (totalprice > 450000) order, counted per nation.  Gated:
     broadcast key-set filter while the build side is small, distributed
-    left_anti join above ``_BROADCAST_KEY_LIMIT``."""
+    left_anti join above ``BROADCAST_ROWS``."""
     import ray
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -355,12 +350,9 @@ def customers_without_orders(sf_dir: str, *, force_distributed: bool = False):
 
     def group_fn(left, keys_ref):
         def partial(b: pa.Table) -> pa.Table:
-            import ray as _ray
-            lut = _ray.get(n2name_ref)
+            lut = worker_cached(n2name_ref, dict)
             if keys_ref is not None:
-                ks = _ray.get(keys_ref)
-                mask = [k not in ks for k in b["c_custkey"].to_pylist()]
-                b = b.filter(pa.array(mask))
+                b = _key_filter(b, "c_custkey", keys_ref, True)
             names = [lut.get(k) for k in b["c_nationkey"].to_pylist()]
             t = pa.table({"n_name": names,
                           "one": pa.array([1] * len(b), pa.int64())})
@@ -380,8 +372,7 @@ def customers_without_orders(sf_dir: str, *, force_distributed: bool = False):
             ["n_name"], _gsum, _final)
 
     return _semi_anti_counted(cust, big, "c_custkey", "o_custkey",
-                              True, group_fn,
-                              force_distributed=force_distributed)
+                              True, group_fn)
 
 
 CUSTOMERS_WITHOUT_ORDERS_SQL = """
@@ -393,13 +384,11 @@ GROUP BY n_name
 """
 
 
-def large_parts_in_lineitem(sf_dir: str, *, force_distributed: bool = False):
+def large_parts_in_lineitem(sf_dir: str):
     """Semi join (SPARQL EXISTS): parts with size > 40 that appear in
     lineitem, counted per brand.  Gated like customers_without_orders:
     broadcast distinct-key filter below the limit, distributed
     left_semi join above it."""
-    import ray
-
     li = _read(sf_dir, "lineitem", ["l_partkey"])
     part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
     part = part.map_batches(
@@ -409,10 +398,7 @@ def large_parts_in_lineitem(sf_dir: str, *, force_distributed: bool = False):
     def group_fn(left, keys_ref):
         def partial(b: pa.Table) -> pa.Table:
             if keys_ref is not None:
-                import ray as _ray
-                ks = _ray.get(keys_ref)
-                mask = [k in ks for k in b["p_partkey"].to_pylist()]
-                b = b.filter(pa.array(mask))
+                b = _key_filter(b, "p_partkey", keys_ref, False)
             t = pa.table({"p_brand": b["p_brand"],
                           "one": pa.array([1] * len(b), pa.int64())})
             return t.group_by("p_brand").aggregate([("one", "sum")])
@@ -432,8 +418,7 @@ def large_parts_in_lineitem(sf_dir: str, *, force_distributed: bool = False):
             ["p_brand"], _gsum, _final)
 
     return _semi_anti_counted(part, li, "p_partkey", "l_partkey",
-                              False, group_fn,
-                              force_distributed=force_distributed)
+                              False, group_fn)
 
 
 LARGE_PARTS_SQL = """
@@ -503,8 +488,7 @@ def nations_per_region_concat(sf_dir: str):
     r_ref = ray.put(dict(zip(region["r_regionkey"], region["r_name"])))
 
     def add_rname(b: pa.Table) -> pa.Table:
-        import ray as _ray
-        lut = _ray.get(r_ref)
+        lut = worker_cached(r_ref, dict)
         names = [lut.get(k) for k in b["n_regionkey"].to_pylist()]
         return b.append_column("r_name", pa.array(names, pa.string()))
 
@@ -564,8 +548,7 @@ def customer_ancestors(sf_dir: str):
     frontier = edges
     while True:
         def step(b: pa.Table) -> pa.Table:
-            import ray as _ray
-            lut = _ray.get(p_ref)
+            lut = worker_cached(p_ref, dict)
             nodes, ancs = [], []
             for n, a in zip(b["node"].to_pylist(), b["ancestor"].to_pylist()):
                 nxt = lut.get(a)

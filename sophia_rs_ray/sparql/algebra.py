@@ -373,20 +373,19 @@ def _bound_masks(ds, shared) -> List[Tuple[bool, ...]]:
     mask per upstream UNION/OPTIONAL branch in practice)."""
     import numpy as np
 
-    def mb(b: pa.Table) -> pa.Table:
+    from ..functions.exchange import _iter_block_refs, map_partitions
+
+    def mb(b: pa.Table) -> set:
         if b.num_rows == 0:
-            return pa.table({"m": pa.array([], pa.string())})
+            return set()
         flags = np.stack(
             [pc.is_valid(b[c]).to_numpy(zero_copy_only=False)
              if c in b.column_names else np.zeros(b.num_rows, dtype=bool)
              for c in shared], axis=1)
-        uniq = np.unique(flags, axis=0)
-        return pa.table({"m": pa.array(
-            ["".join("1" if x else "0" for x in row) for row in uniq])})
+        return set(map(tuple, np.unique(flags, axis=0).tolist()))
 
-    masks = {r["m"] for r in
-             ds.map_batches(mb, batch_format="pyarrow").take_all()}
-    return sorted(tuple(c == "1" for c in m) for m in masks)
+    return sorted(set().union(
+        *map_partitions(list(_iter_block_refs(ds)), mb)))
 
 
 def _filter_mask(ds, shared, mask):
@@ -465,11 +464,14 @@ def _small_cross(a, b_mat):
     """Cross product with a driver-pulled small right side (only used
     for empty-key mask pairs, which arise from degenerate UNION
     shapes; capped to keep the driver out of the data path)."""
-    if b_mat.count() > _CROSS_SIDE_LIMIT:
+    from ..functions.broadcast import gated_gather
+
+    bt = gated_gather(b_mat, _CROSS_SIDE_LIMIT)
+    if bt is None:
         raise ValueError(
             "compatible-mapping join degenerated to a cross product over "
             f">{_CROSS_SIDE_LIMIT} rows — rewrite the query")
-    bt = _norm_cols(pa.Table.from_pylist(b_mat.take_all()))
+    bt = _norm_cols(bt)
 
     def cross(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or bt.num_rows == 0:
@@ -692,11 +694,14 @@ def _cross_or_join(a, b, *, how: str = "inner", num_partitions: int = 8):
     shared = sorted(set(av) & set(bv))
     if shared:
         return _join_bindings(a, b, how, num_partitions, tuple(shared))
-    if b.count() > _CROSS_SIDE_LIMIT:
+    from ..functions.broadcast import gated_gather
+
+    bt = gated_gather(b, _CROSS_SIDE_LIMIT)
+    if bt is None:
         raise ValueError(
             "join with no shared variables degenerated to a cross product "
             f"over >{_CROSS_SIDE_LIMIT} rows — rewrite the query")
-    bt = pa.Table.from_pylist(b.take_all())
+    bt = _norm_cols(bt)
 
     def cross(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or bt.num_rows == 0:

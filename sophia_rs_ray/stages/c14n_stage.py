@@ -131,6 +131,8 @@ def c14n_dataset(ds, *, cols=("s", "p", "o"), g_col: Optional[str] = "g",
     """
     import ray
 
+    from ..functions.broadcast import worker_cached
+
     # read twice below (plain rows, bnode rows); materialized first so
     # the schema probe does not run and then cancel a partial plan
     ds = ds.materialize()
@@ -171,7 +173,7 @@ def c14n_dataset(ds, *, cols=("s", "p", "o"), g_col: Optional[str] = "g",
     label_ref = ray.put(labels)
 
     def relabel_format(b: pa.Table) -> pa.Table:
-        lmap = ray.get(label_ref)
+        lmap = worker_cached(label_ref, dict)
         qs = _row_quads(b, cols, g_col if has_g else None)
         data = {c: [] for c in ("s", "p", "o", "g", "nq")}
         for (s, p, o, g) in qs:

@@ -10,14 +10,13 @@ its MinHash/LSH/CC machinery (stages/neardup).
 Scale notes: the *entity name table* is the small side (O(#entities)),
 so the LSH pipeline runs over it, not the corpus; the resulting
 mapping contains ONLY merged entities (non-identity rows) and is
-broadcast with ``ray.put`` once, read per actor in ``__init__``.  Hub
-surfaces are capped by the LSH ``pair_cap``; the rewrite pass itself is
-embarrassingly parallel.
+broadcast with ``ray.put`` once; each worker process builds its
+:class:`RewriteTerms` from it once (``functions.broadcast.worker_cached``).
+Hub surfaces are capped by the LSH ``pair_cap``; the rewrite pass itself
+is embarrassingly parallel.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional, Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -64,14 +63,6 @@ def entity_mapping_ds(nt_ds, *, subject_prefix: str = "",
         batch_format="pyarrow")
 
 
-def entity_mapping(nt_ds, **kwargs) -> Dict[str, str]:
-    """Driver-side dict view of ``entity_mapping_ds`` (small mappings)."""
-    mapping: Dict[str, str] = {}
-    for r in entity_mapping_ds(nt_ds, **kwargs).take_all():
-        mapping[r["old"]] = r["canon"]
-    return mapping
-
-
 def exact_entity_mapping_ds(nt_ds, *, subject_prefix: str = "",
                             name_predicate: str = SCHEMA_NAME):
     """Dataset (old, canon) for entities whose names are *exactly*
@@ -89,19 +80,6 @@ def exact_entity_mapping_ds(nt_ds, *, subject_prefix: str = "",
             "canon": pc.cast(f["canon"], pa.string())}))(
             b.filter(pc.invert(pc.equal(b["doc_id"], b["canon"])))),
         batch_format="pyarrow")
-
-
-def exact_entity_mapping(nt_ds, **kwargs) -> Dict[str, str]:
-    """Driver-side dict view of ``exact_entity_mapping_ds``."""
-    mapping: Dict[str, str] = {}
-    for r in exact_entity_mapping_ds(nt_ds, **kwargs).take_all():
-        mapping[r["old"]] = r["canon"]
-    return mapping
-
-
-#: merged-entity count above which the rewrite stops broadcasting a
-#: driver dict and runs distributed join-rewrites instead
-_MAPPING_BROADCAST_LIMIT = 5_000_000
 
 
 def rewrite_via_join(nt_ds, mapping_ds, *, num_partitions: int = 16):
@@ -137,18 +115,14 @@ def rewrite_via_join(nt_ds, mapping_ds, *, num_partitions: int = 16):
 
 
 class RewriteTerms:
-    """Actor-pool stage: rewrite s/o through the broadcast mapping.
-    The dict is converted ONCE per actor to parallel Arrow key/value
-    arrays; each batch is then a vectorized index_in/take/coalesce —
-    no Python loop touches the corpus."""
+    """Rewrite s/o through an {old: canon} mapping.  The dict is
+    converted ONCE to parallel Arrow key/value arrays; each batch is
+    then a vectorized index_in/take/coalesce — no Python loop touches
+    the corpus."""
 
-    def __init__(self, mapping_ref):
-        import ray
-
-        m = ray.get(mapping_ref) \
-            if not isinstance(mapping_ref, dict) else mapping_ref
-        self.keys = pa.array(list(m.keys()), pa.large_string())
-        self.vals = pa.array(list(m.values()), pa.large_string())
+    def __init__(self, mapping: dict):
+        self.keys = pa.array(list(mapping.keys()), pa.large_string())
+        self.vals = pa.array(list(mapping.values()), pa.large_string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if len(self.keys) == 0:
@@ -164,27 +138,9 @@ class RewriteTerms:
         return pa.table(cols)
 
 
-#: per-worker-process RewriteTerms cache (task-pool analogue of the
-#: actor __init__ — see stages/ner._DETECTOR_CACHE)
-_REWRITER_CACHE: dict = {}
-
-
-def _cached_rewriter(mapping_ref) -> RewriteTerms:
-    key = mapping_ref.binary() if hasattr(mapping_ref, "binary") \
-        else id(mapping_ref)
-    rw = _REWRITER_CACHE.get(key)
-    if rw is None:
-        if len(_REWRITER_CACHE) > 4:
-            _REWRITER_CACHE.clear()
-        rw = RewriteTerms(mapping_ref)
-        _REWRITER_CACHE[key] = rw
-    return rw
-
-
 def canonicalize_entities(nt_ds, *, subject_prefix: str = "",
                           name_predicate: str = SCHEMA_NAME,
                           threshold: float = 0.9,
-                          concurrency=None,
                           dedup: bool = True,
                           method: str = "lsh",
                           **neardup_kwargs):
@@ -192,8 +148,11 @@ def canonicalize_entities(nt_ds, *, subject_prefix: str = "",
     with ``method="exact"``) → rewritten, deduped triples.
     Returns (dataset, mapping) — ``mapping`` is a driver dict on the
     broadcast path, or the (old, canon) Dataset when the merged-entity
-    count exceeds ``_MAPPING_BROADCAST_LIMIT`` (join-rewrite path)."""
+    count exceeds ``BROADCAST_ROWS`` (join-rewrite path)."""
     import ray
+
+    from ..functions.broadcast import (BROADCAST_ROWS, gated_gather,
+                                       worker_cached)
 
     nt_ds = nt_ds.materialize()  # consumed twice: mapping build + rewrite
     if method == "exact":
@@ -205,27 +164,18 @@ def canonicalize_entities(nt_ds, *, subject_prefix: str = "",
                                    name_predicate=name_predicate,
                                    threshold=threshold, **neardup_kwargs)
     map_ds = map_ds.materialize()
-    if map_ds.count() > _MAPPING_BROADCAST_LIMIT:
+    pairs = gated_gather(map_ds, BROADCAST_ROWS)
+    if pairs is None:
+        mapping = map_ds
         out = rewrite_via_join(nt_ds, map_ds)
-        if dedup:
-            from .dedup import dedup_triples
-
-            carry = tuple(c for c in ("url",)
-                          if c in nt_ds.schema().names)
-            out = dedup_triples(out, carry_min=carry)
-        return out, map_ds
-    mapping = {r["old"]: r["canon"] for r in map_ds.take_all()}
-    ref = ray.put(mapping)
-    if concurrency is None:
-        # task pool with a per-worker cached rewriter: the mapping's
-        # Arrow arrays build once per worker process, no actor spin-up
-        out = nt_ds.map_batches(
-            lambda b: _cached_rewriter(ref)(b), batch_format="pyarrow")
     else:
-        out = nt_ds.map_batches(RewriteTerms,
-                                fn_constructor_kwargs={"mapping_ref": ref},
-                                batch_format="pyarrow",
-                                concurrency=concurrency)
+        mapping = dict(zip(pairs["old"].to_pylist(),
+                           pairs["canon"].to_pylist())) \
+            if pairs.num_rows else {}
+        ref = ray.put(mapping)
+        out = nt_ds.map_batches(
+            lambda b: worker_cached(ref, RewriteTerms)(b),
+            batch_format="pyarrow")
     if dedup:
         from .dedup import dedup_triples
 

@@ -30,7 +30,7 @@ from ..ntriples import format_nt_table
 from ..extract.to_triples import _Alloc, microdata_to_triples, rdfa_to_triples
 from ..iri import BaseIri
 from ..jsonld import JsonLdExpander
-from ..sources.pages import skolem, skolem_suffix
+from ..sources.pages import skolem_suffix
 from ..terms import KIND_BNODE, Term, format_term
 
 _TERM_COLS = [
@@ -45,12 +45,6 @@ TRIPLES_SCHEMA = pa.schema(
     + [(c, pa.int8() if c.endswith(("kind", "dir")) else pa.large_string())
        for c in _TERM_COLS]
 )
-
-
-def _skolemize(t: Term, url: str, extractor: str) -> Term:
-    if t[0] == KIND_BNODE:
-        return (t[0], skolem(t[1], url, extractor), t[2], t[3], t[4])
-    return t
 
 
 def _extract_pages(urls, htmls, push, push_error) -> None:

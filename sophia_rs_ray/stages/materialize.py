@@ -63,8 +63,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..functions.exchange import (_concat_mixed, _undict, intern_threshold,
-                                  scatter)
+from ..functions.exchange import (_concat_mixed, _remote, _undict,
+                                  intern_threshold, scatter)
 
 ORDERS: Dict[str, Tuple[str, str, str]] = {
     "spo": ("s", "p", "o"),
@@ -395,7 +395,7 @@ def materialize_graph(nt_ds, out_dir: str, *,
         (tuple(orders), num_shards, salts, done_keys, intern_threshold(),
          transform),
         len(todo), fanin=fanin) if todo else ([], 0)
-    write = ray.remote(_write_partition)
+    write = _remote(_write_partition)
     rows = ray.get([write.remote(out_dir, orders[oi], shard, salt,
                                  distinct, *refs)
                     for (oi, shard, salt), refs in zip(todo, pieces)])

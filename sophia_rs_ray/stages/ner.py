@@ -189,25 +189,6 @@ class MentionDetector:
         })
 
 
-#: per-worker-process cache of compiled detectors, keyed by the
-#: broadcast ObjectRef — the task-pool analogue of actor __init__
-_DETECTOR_CACHE: dict = {}
-
-
-def _cached_detector(dict_ref, **kw) -> MentionDetector:
-    import ray
-
-    key = (dict_ref.binary() if isinstance(dict_ref, ray.ObjectRef)
-           else id(dict_ref), tuple(sorted(kw.items())))
-    det = _DETECTOR_CACHE.get(key)
-    if det is None:
-        if len(_DETECTOR_CACHE) > 8:
-            _DETECTOR_CACHE.clear()
-        det = MentionDetector(dict_ref, **kw)
-        _DETECTOR_CACHE[key] = det
-    return det
-
-
 def detect_mentions(ds, dictionary, *, key_col: str = "url",
                     text_col: str = "text", max_candidates: int = 8,
                     batch_size: int = 256):
@@ -219,14 +200,18 @@ def detect_mentions(ds, dictionary, *, key_col: str = "url",
     one broadcast copy."""
     import ray
 
+    from ..functions.broadcast import worker_cached
+
     if not isinstance(dictionary, ray.ObjectRef):
         dictionary = ray.put(dictionary)
 
-    def fn(b: pa.Table) -> pa.Table:
-        det = _cached_detector(dictionary, key_col=key_col,
-                               text_col=text_col,
+    def build(d: dict) -> MentionDetector:
+        return MentionDetector(d, key_col=key_col, text_col=text_col,
                                max_candidates=max_candidates)
-        return det(b)
+
+    def fn(b: pa.Table) -> pa.Table:
+        return worker_cached(dictionary, build,
+                             key=(key_col, text_col, max_candidates))(b)
 
     return ds.map_batches(fn, batch_format="pyarrow",
                           batch_size=batch_size)

@@ -858,38 +858,6 @@ def serialize_turtle(triples, prefixes: Optional[Dict[str, str]] = None,
 # batch adapters (map_batches bodies)
 # ---------------------------------------------------------------------------
 
-def parse_turtle_batch(docs, urls=None, bases=None):
-    """Vectorized over documents: each row is one whole Turtle document
-    (doc-scoped prefixes/base). Returns NT-text triple rows + error rows."""
-    import hashlib
-
-    import pyarrow as pa
-
-    s_out, p_out, o_out, u_out, e_out = [], [], [], [], []
-    urls = urls if urls is not None else [""] * len(docs)
-    bases = bases if bases is not None else urls
-    for text, url, base in zip(docs, urls, bases):
-        suffix = "_" + hashlib.blake2b(
-            (url or "").encode(), digest_size=8).hexdigest()
-        try:
-            triples = parse_turtle(text or "", base=base or None,
-                                   bnode_suffix=suffix)
-            for (s, p, o) in triples:
-                s_out.append(format_term(s))
-                p_out.append(format_term(p))
-                o_out.append(format_term(o))
-                u_out.append(url)
-                e_out.append("")
-        except ValueError as e:
-            s_out.append("")
-            p_out.append("")
-            o_out.append("")
-            u_out.append(url)
-            e_out.append(f"{type(e).__name__}: {e}")
-    return pa.table({"s": s_out, "p": p_out, "o": o_out,
-                     "url": u_out, "error": e_out})
-
-
 def format_turtle_batch(batch, prefixes: Optional[Dict[str, str]] = None,
                         emit_prefixes: bool = False):
     """NT-text triple rows → one Turtle chunk per batch (use after

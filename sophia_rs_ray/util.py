@@ -8,10 +8,12 @@ import numpy as np
 def actor_pool(reserve: int = 2, max_cap: int = 16, min_size: int = 2):
     """Autoscaling actor-pool size for ``map_batches(Cls,
     concurrency=...)``: ``(min_size, cpus - reserve)`` capped at
-    ``max_cap``.  Reserving slots keeps the upstream read/map tasks
-    schedulable — a fixed pool equal to the session CPU count starves
-    them (observed hang at num_cpus=4 with concurrency=4), while a
-    fixed pool of 2 leaves 30 of 32 cores idle on CPU-bound stages."""
+    ``max_cap``, never below one actor and never a minimum above the
+    maximum.  Reserving slots keeps the upstream read/map tasks
+    schedulable — a pool equal to the session CPU count starves them
+    (observed hangs at num_cpus=4 with concurrency=4 and at num_cpus=2
+    with a (2, 2) pool), while a fixed pool of 2 leaves 30 of 32 cores
+    idle on CPU-bound stages."""
     cpus = 4
     try:
         import ray
@@ -20,28 +22,8 @@ def actor_pool(reserve: int = 2, max_cap: int = 16, min_size: int = 2):
             cpus = int(ray.cluster_resources().get("CPU", 4))
     except Exception:
         pass
-    hi = max(min_size, min(max_cap, cpus - reserve))
-    return (min_size, hi)
-
-
-def squash_empty_blocks(ds, target_rows: int = 65536):
-    """Coalesce a Dataset's blocks so no leading block is empty.
-
-    Works around a Ray 2.49 hash-shuffle-join defect: schema-carrying
-    empty shards are broadcast only by the FIRST shuffle task of each
-    join side, and ``_shuffle_block`` returns early for an empty input
-    block *without* broadcasting (hash_shuffle.py:223-225) while the
-    driver still marks schemas as sent (hash_shuffle.py:588-589).  A
-    join partition that then receives no rows builds a schema-less
-    table and pyarrow raises ``No match ... FieldRef`` on the key.
-    Sparse upstreams (e.g. a groupby emitting mostly-empty blocks)
-    therefore crash joins nondeterministically.  Re-bundling through
-    ``map_batches`` with an explicit ``batch_size`` merges away empty
-    blocks (zero-row bundles contribute nothing), so the first shuffle
-    task always carries a schema.
-    """
-    return ds.map_batches(lambda t: t, batch_format="pyarrow",
-                          batch_size=target_rows)
+    hi = max(1, min(max_cap, cpus - reserve))
+    return (min(min_size, hi), hi)
 
 
 _ACERO_JOIN_TYPE = {
@@ -53,28 +35,16 @@ _ACERO_JOIN_TYPE = {
 
 
 def safe_join(left, right, join_type: str, num_partitions: int, *,
-              on, right_on=None, left_suffix=None, right_suffix=None,
-              use_ray_join: bool = False):
-    """Distributed hash join — by default the raw-task exchange join
-    (``functions.exchange.exchange_join``: per-block hash split + one
-    local Acero join per partition), measured ~8× faster than Ray's
-    hash-shuffle join operator at bench scale AND immune to its two
-    defects (the empty-first-block schema crash and the nested-join
-    actor-pool deadlock).  Null join keys never match (SQL semantics)
-    on both paths.
+              on, right_on=None, left_suffix=None, right_suffix=None):
+    """Distributed hash join with Ray Data's join-type names, run as the
+    raw-task exchange join (``functions.exchange.exchange_join``:
+    per-block hash split + one local Acero join per partition),
+    measured ~8× faster than Ray's hash-shuffle join operator at bench
+    scale.  Null join keys never match (SQL semantics)."""
+    from .functions.exchange import exchange_join
 
-    ``use_ray_join=True`` keeps the old operator (both sides squashed
-    of empty blocks and materialized first — see r1 notes)."""
-    if not use_ray_join:
-        from .functions.exchange import exchange_join
-
-        return exchange_join(
-            left, right, _ACERO_JOIN_TYPE[join_type], num_partitions,
-            on=tuple(on), right_on=tuple(right_on) if right_on else None,
-            left_suffix=left_suffix, right_suffix=right_suffix)
-    return squash_empty_blocks(left).materialize().join(
-        squash_empty_blocks(right).materialize(), join_type,
-        num_partitions,
+    return exchange_join(
+        left, right, _ACERO_JOIN_TYPE[join_type], num_partitions,
         on=tuple(on), right_on=tuple(right_on) if right_on else None,
         left_suffix=left_suffix, right_suffix=right_suffix)
 

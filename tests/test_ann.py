@@ -2,6 +2,7 @@
 symmetry, bucket determinism."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from sophia_rs_ray.functions.ann import (
@@ -108,6 +109,29 @@ def test_ivf_single_bucket_layout(emb_ds, tmp_path):
     assert got == exact
 
 
+def test_ivf_empty_first_block(ray_session, tmp_path):
+    """The writer, not a driver-side probe, reports the embedding width:
+    an empty first block is skipped, and an all-empty input still
+    raises."""
+    import ray.data as rd
+
+    from sophia_rs_ray.functions.ann import materialize_ivf
+
+    sch = pa.schema([("vec_id", pa.int64()),
+                     ("embedding", pa.list_(pa.float32()))])
+    empty = sch.empty_table()
+    rows = pa.table({"vec_id": [1, 2, 3],
+                     "embedding": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                   [0.0, 0.0, 1.0]]}, schema=sch)
+    man = materialize_ivf(rd.from_arrow([empty, rows]),
+                          str(tmp_path / "ivf"), n_buckets=4)
+    assert man["dim"] == 3
+    assert sum(man["buckets"].values()) == 3
+    with pytest.raises(ValueError, match="empty embedding dataset"):
+        materialize_ivf(rd.from_arrow([empty, empty]),
+                        str(tmp_path / "none"), n_buckets=4)
+
+
 def test_ivf_persisted_layout_pruned_read(emb_ds, tmp_path):
     import os
 
@@ -157,13 +181,15 @@ def test_knn_self_join_lsh_recall(emb_ds):
 
 
 def test_exact_sim_gate_routes_to_lsh(sf_dir, monkeypatch, ray_session):
-    """Above SOPHIA_EXACT_SIM_LIMIT the registry entries route to the
+    """Above EXACT_SIM_LIMIT the registry entries route to the
     LSH plans (never O(N²) by default); below it they stay exact."""
     from sophia_rs_ray.functions.ann import cosine_near_dup
     from sophia_rs_ray.pipelines.queries import (_embedding_near_dup,
                                                  _knn_self_join)
 
-    monkeypatch.setenv("SOPHIA_EXACT_SIM_LIMIT", "1")
+    from sophia_rs_ray.functions import ann
+
+    monkeypatch.setattr(ann, "EXACT_SIM_LIMIT", 1)
     import ray.data as rd
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -179,7 +205,7 @@ def test_exact_sim_gate_routes_to_lsh(sf_dir, monkeypatch, ray_session):
     assert gated_knn  # the LSH self-join plan ran and produced edges
     assert all(r["id"] != r["neighbor_id"] for r in gated_knn)
 
-    monkeypatch.setenv("SOPHIA_EXACT_SIM_LIMIT", "10000000")
+    monkeypatch.setattr(ann, "EXACT_SIM_LIMIT", 10_000_000)
     ungated = {(r["id_a"], r["id_b"])
                for r in _embedding_near_dup(sf_dir).take_all()}
     assert ungated == exact_pairs

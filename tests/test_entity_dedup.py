@@ -5,7 +5,7 @@ import pyarrow as pa
 import pytest
 
 from sophia_rs_ray.stages.entity_dedup import (
-    canonicalize_entities, entity_mapping, entity_name_table,
+    canonicalize_entities, entity_mapping_ds, entity_name_table,
 )
 
 ENT = "http://kg.example/entity/"
@@ -44,8 +44,7 @@ def test_entity_name_table(ray_session):
 def test_mapping_and_rewrite(ray_session):
     nt = _nt(ray_session)
     out, mapping = canonicalize_entities(
-        nt, subject_prefix=ENT, threshold=0.9,
-        num_partitions=2, concurrency=2)
+        nt, subject_prefix=ENT, threshold=0.9, num_partitions=2)
     assert mapping == {f"<{ENT}470>": f"<{ENT}10>"}
     rows = {(r["s"], r["p"], r["o"]) for r in out.take_all()}
     assert rows == {
@@ -65,6 +64,6 @@ def test_no_merge_below_threshold(ray_session):
         "s": pa.array([r[0] for r in rows], pa.large_string()),
         "p": pa.array([r[1] for r in rows], pa.large_string()),
         "o": pa.array([r[2] for r in rows], pa.large_string())}))
-    m = entity_mapping(nt, subject_prefix=ENT, threshold=0.9,
-                       num_partitions=2)
-    assert m == {}
+    m = entity_mapping_ds(nt, subject_prefix=ENT, threshold=0.9,
+                          num_partitions=2)
+    assert m.take_all() == []

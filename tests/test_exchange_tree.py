@@ -301,23 +301,69 @@ def test_refs_core_chains_like_dataset(ray_session, n_blocks):
     assert sum(gather(first)["v"].to_pylist()) == sum(want.values())
 
 
-def test_only_scatter_builds_exchanges():
-    """``functions.exchange.scatter`` is the one exchange map side: no
-    other module launches multi-return split tasks or builds a merge
-    tree of its own."""
+#: (home module, pattern no other module may contain) — one exchange
+#: map side, one remote-wrap cache (a wrap inside a function is a new
+#: task type per call), one per-worker broadcast cache
+_HOMED = [
+    ("functions/exchange.py",
+     r"num_returns\s*=|_MergeTree\(|^\s+.*\bray\.remote\("),
+    ("functions/broadcast.py", r"(?<!pa)\.binary\(\)"),
+]
+#: modules whose small sides go through ``broadcast.gated_gather``:
+#: no ``take_all()`` and no Dataset ``take(<limit>)`` pull
+_GATED_MODULES = ["pipelines/queries.py", "pipelines/relational.py",
+                  "stages/entity_dedup.py", "sparql/algebra.py"]
+
+
+def _offenders(pattern, skip=None, only=None):
     import sophia_rs_ray
 
     root = os.path.dirname(sophia_rs_ray.__file__)
-    home = os.path.join(root, "functions", "exchange.py")
-    offenders = []
+    out = []
     for dirpath, _dirs, files in os.walk(root):
         for f in files:
-            path = os.path.join(dirpath, f)
-            if not f.endswith(".py") or path == home:
+            rel = os.path.relpath(os.path.join(dirpath, f), root)
+            if not f.endswith(".py") or rel == skip or \
+                    (only is not None and rel not in only):
                 continue
-            with open(path, encoding="utf-8") as fh:
-                for n, line in enumerate(fh, 1):
-                    if re.search(r"num_returns\s*=|_MergeTree\(", line):
-                        offenders.append(
-                            f"{os.path.relpath(path, root)}:{n}")
-    assert offenders == []
+            with open(os.path.join(root, rel), encoding="utf-8") as fh:
+                out += [f"{rel}:{n}" for n, line in enumerate(fh, 1)
+                        if re.search(pattern, line)]
+    return out
+
+
+def test_only_scatter_builds_exchanges():
+    """``functions.exchange.scatter`` is the one exchange map side: no
+    other module launches multi-return split tasks or builds a merge
+    tree of its own or wraps a kernel per call; ``functions.broadcast``
+    holds the one ObjectRef-keyed worker cache; the gated modules pull
+    no unbounded side."""
+    for home, pattern in _HOMED:
+        assert _offenders(pattern, skip=home) == [], home
+    assert _offenders(r"\.take_all\(\)|\.take\(\s*(\d|_*[A-Z])",
+                      only=_GATED_MODULES) == []
+
+
+def test_repeat_calls_reuse_remote_functions(ray_session, monkeypatch):
+    """Two identical exchanges wrap each kernel once: the second call
+    creates no new remote function (a fresh wrap is a new task type)."""
+    import ray
+
+    from sophia_rs_ray.functions import exchange as ex
+
+    refs = [ray.put(pa.table({"k": [i % 3], "v": [i]})) for i in range(4)]
+
+    def run():
+        return ex.gather(ex.hash_aggregate_refs(refs, ["k"], None, None,
+                                                num_partitions=2))
+
+    first = run()
+    wraps = {f: ex._REMOTES[f]
+             for f in (ex._map_side, ex._merge_pieces, ex._reduce_side)}
+    created = []
+    real = ray.remote
+    monkeypatch.setattr(ray, "remote",
+                        lambda *a, **k: created.append(a) or real(*a, **k))
+    assert run().num_rows == first.num_rows == 4
+    assert created == []
+    assert all(ex._REMOTES[f] is r for f, r in wraps.items())

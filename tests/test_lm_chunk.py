@@ -1,8 +1,9 @@
 """Round-5 operators: bigram-LM scoring + document chunking.
 
 Brute-force references over adversarial corpora (empty/1-token docs,
-hub tokens, within-doc repeats) plus broadcast↔exchange plan
-equivalence — shapes the sf0.01 oracle corpus never exercises."""
+hub tokens, within-doc repeats) — shapes the sf0.01 oracle corpus never
+exercises.  tests/test_broadcast.py runs the broadcast↔exchange plan
+equivalence over the same corpora."""
 
 import math
 
@@ -72,22 +73,6 @@ def test_lm_score_matches_brute_force(ray_session, tmp_path):
     # corpus must exercise both no-bigram shapes and a repeated bigram
     assert got[3][1] is None and got[4][1] is None
     assert got[2][2] == 3
-
-
-def test_lm_score_plan_equivalence(ray_session, tmp_path, monkeypatch):
-    """The auto-routed exchange plan (gate forced to 0) returns exactly
-    the broadcast plan's rows — same doc_ids, scores, counts."""
-    import sophia_rs_ray.pipelines.queries as Q
-
-    sf = _write_docs(tmp_path, CORPUS)
-    broadcast = sorted(
-        (r["doc_id"], r["lm_logprob"], r["n_bigrams"])
-        for r in Q._lm_score(sf).take_all())
-    monkeypatch.setattr(Q, "_LM_BROADCAST_LIMIT", 0)
-    routed = sorted(
-        (r["doc_id"], r["lm_logprob"], r["n_bigrams"])
-        for r in Q._lm_score(sf).take_all())
-    assert routed == broadcast
 
 
 def _brute_chunks(texts, w, s):
@@ -199,20 +184,6 @@ def test_dsir_weights_matches_brute_force(ray_session, tmp_path):
     oth = [w for (d, w, n), lg in zip(got, DSIR_LANGS)
            if w is not None and lg != "en"]
     assert sum(tgt) / len(tgt) > sum(oth) / len(oth)
-
-
-def test_dsir_weights_plan_equivalence(ray_session, tmp_path, monkeypatch):
-    import sophia_rs_ray.pipelines.queries as Q
-
-    sf = _write_docs_langs(tmp_path, CORPUS, DSIR_LANGS)
-    broadcast = sorted(
-        (r["doc_id"], r["dsir_weight"], r["n_tokens"])
-        for r in Q._dsir_weights(sf).take_all())
-    monkeypatch.setattr(Q, "_LM_BROADCAST_LIMIT", 0)
-    routed = sorted(
-        (r["doc_id"], r["dsir_weight"], r["n_tokens"])
-        for r in Q._dsir_weights(sf).take_all())
-    assert routed == broadcast
 
 
 def test_clean_corpus_composition(ray_session, tmp_path):

@@ -204,3 +204,18 @@ def test_real_codec_media_features_closed_form(ray_session):
             want = (i * 7 + c * 29) % 100 + 0.4375 * h + 0.875 * w
             assert abs(f[c] - want) < 1e-4, (i, c)
         assert abs(f[3] - (h / 8 + w / 4)) < 1e-4
+
+
+@pytest.mark.parametrize("cpus,want", [(2, (1, 1)), (3, (1, 1)),
+                                       (32, (2, 16))])
+def test_actor_pool_leaves_a_cpu_free(monkeypatch, cpus, want):
+    """The pool never takes every CPU of a small session (a (2, 2) pool
+    on 2 CPUs starved the read tasks); sizing only reads the cluster
+    resources, so no cluster is started."""
+    import ray
+
+    from sophia_rs_ray.util import actor_pool
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
+    assert actor_pool() == want

@@ -2,32 +2,13 @@
 
 The DuckDB oracle equivalence itself rides the generic gate in
 tests/test_queries_oracle.py (both entries are SQL-backed registry
-rows); this file pins the plan-equivalence and threshold-straddling
+rows) and the broadcast/fallback plan equivalence rides
+tests/test_broadcast.py; this file pins the threshold-straddling
 properties the generic gate cannot see.
 """
 
 import pyarrow as pa
 import pytest
-
-
-def test_decontaminate_broadcast_equals_exchange(sf_dir, ray_session):
-    """The broadcast plan and the distributed semi-join fallback must
-    produce identical results (the gate between them is a size check,
-    never a semantics change)."""
-    from sophia_rs_ray.pipelines.queries import (
-        _decontam_pairs, _decontam_zeros, _decontaminate,
-        _decontaminate_exchange)
-
-    def norm(ds):
-        rows = sorted((r["doc_id"], r["n_contaminated"])
-                      for r in ds.take_all())
-        return rows
-
-    a = norm(_decontaminate(sf_dir))
-    b = norm(_decontaminate_exchange(_decontam_pairs(sf_dir),
-                                     _decontam_zeros(sf_dir)))
-    assert a == b
-    assert len(a) > 0
 
 
 def test_decontaminate_threshold_straddled(sf_dir, ray_session):
