@@ -7,16 +7,17 @@ Algorithm: min-label propagation + per-round pointer doubling.
   repeat:  labels(n) ← min(labels(n), min over neighbours m of labels(m))
            labels(n) ← labels(labels(n))        # pointer doubling
   until no label changed.
-Each round is one ``join`` (edges ⋈ labels) + one ``groupby(node).min``
-for the propagation — the all-to-all pattern of the "small-star" CC
-algorithms (Kiveris et al., "Connected Components in MapReduce and
-Beyond", SoCC'14) — plus one labels ⋈ labels self-join for the
-shortcut.  The pointer-doubling step makes rounds O(log n) instead of
-O(component diameter) (Rastogi et al., "Finding Connected Components
-in Map-Reduce in Logarithmic Rounds", ICDE'13: hash-to-min family), so
-a chain-shaped URL/entity graph converges in ~log₂(n) rounds — pinned
-by the chain fuzz in tests/test_components.py.  Hub skew is absorbed
-by Ray's hash shuffle on the node key.
+Each round is one ``join`` (edges ⋈ labels) + one per-node ``min``
+(``exchange.grouped``) for the propagation — the all-to-all pattern of
+the "small-star" CC algorithms (Kiveris et al., "Connected Components
+in MapReduce and Beyond", SoCC'14) — plus one labels ⋈ labels
+self-join for the shortcut. The pointer-doubling step makes rounds
+O(log n) instead of O(component diameter) (Rastogi et al., "Finding
+Connected Components in Map-Reduce in Logarithmic Rounds", ICDE'13:
+hash-to-min family), so a chain-shaped URL/entity graph converges in
+~log₂(n) rounds — pinned by the chain fuzz in
+tests/test_components.py. Hub skew is absorbed by the exchange's
+per-block combine, which sends at most one row per node and block.
 
 For edge sets that fit on the driver (the common case for per-document
 bnode structures: components of a handful of nodes), ``union_find``
@@ -32,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import safe_join
+from .exchange import grouped
 
 _FIB = 0x9E3779B97F4A7C15  # Fibonacci multiplier: mixes crc32 into 64 bits
 _MASK = (1 << 61) - 1
@@ -91,8 +93,6 @@ def connected_components(
     Driver-controlled fixpoint: bounded rounds, convergence by
     changed-label count (SURVEY §7.4 "fixpoint loops").
     """
-    from ray.data.aggregate import Min
-
     # symmetrize once: (a,b) ∪ (b,a) ∪ self-loops keep isolated nodes
     def sym(b: pa.Table) -> pa.Table:
         a1 = pc.cast(b[src], pa.string())
@@ -121,8 +121,11 @@ def connected_components(
             "node": pa.array([k for k, _ in items], pa.string()),
             "component": pa.array([v for _, v in items], pa.string())}))
     # labels(n) = min neighbour id (incl. self via symmetrized self-pair)
-    labels = edges.groupby("node").aggregate(
-        Min("nbr", alias_name="label")).materialize()
+    labels = grouped(
+        edges.map_batches(lambda b: b.rename_columns(["node", "label"]),
+                          batch_format="pyarrow"),
+        ["node"], [("label", "min")], num_partitions=num_partitions,
+    ).materialize()
 
     chk = _label_checksum(labels)
     converged = False
@@ -134,14 +137,11 @@ def connected_components(
         msgs = safe_join(
             edges, labels, "inner", num_partitions, on=("node",),
         ).map_batches(
-            lambda b: pa.table({"node": b["nbr"], "cand": b["label"]}),
+            lambda b: pa.table({"node": b["nbr"], "label": b["label"]}),
             batch_format="pyarrow",
         )
-        both = msgs.union(labels.map_batches(
-            lambda b: pa.table({"node": b["node"], "cand": b["label"]}),
-            batch_format="pyarrow"))
-        labels = both.groupby("node").aggregate(
-            Min("cand", alias_name="label")).materialize()
+        labels = grouped(msgs.union(labels), ["node"], [("label", "min")],
+                         num_partitions=num_partitions).materialize()
         # pointer doubling: labels(n) ← labels(labels(n)).  Every label
         # is itself a node id (a min over node ids), so the inner
         # self-join is total; label(l) ≤ l keeps labels monotone and

@@ -20,6 +20,10 @@ launches its own reduce per partition:
     asof_join             _map_side    → _asof_reduce (functions/temporal)
     materialize_ivf       _split_ivf_impl → _write_ivf (functions/ann)
 
+Every grouping is a :func:`hash_aggregate`: :func:`grouped` for
+per-key aggregates and DISTINCT, :func:`per_group` for one ``fn`` call
+per group, or a caller's own combine/finalize pair.
+
 The aggregate shape, for example:
 
     block → combine(block)                (per-block partial aggregate)
@@ -454,21 +458,43 @@ def map_partitions(refs, fn) -> list:
     return ray.get([task.remote(fn, r) for r in refs])
 
 
-def grouped_sum(ds, keys: Sequence[str], cols: Sequence[str], *,
-                num_partitions: Optional[int] = None):
-    """Per-key SUM of ``cols`` via the hash exchange — the drop-in
-    replacement for ``groupby(keys).aggregate(Sum(...))`` tails over
-    per-batch partials (Ray's sort-based groupby costs ~1 s fixed
-    overhead per call at bench scale; see BASELINE.md).  Output columns
-    keep their input names: keys + cols."""
-    keys, cols = list(keys), list(cols)
+def grouped(ds, keys: Sequence[str], aggs: Sequence = (), *,
+            num_partitions: Optional[int] = None):
+    """Per-key aggregate via the hash exchange — the one replacement for
+    Ray Data's sort-based ``groupby(keys).aggregate(...)``.  ``aggs``
+    are pyarrow ``(col, fn)`` pairs whose ``fn`` also folds its own
+    partials ("sum", "min", "max"); the output keeps the input names,
+    keys + cols.  ``aggs=()`` is an exact DISTINCT on ``keys``.  NULL
+    keys form one group, as SQL ``GROUP BY`` does."""
+    keys, aggs = list(keys), list(aggs)
+    names = keys + [c for c, _ in aggs]
 
-    def gsum(t: pa.Table) -> pa.Table:
-        out = t.group_by(keys).aggregate([(c, "sum") for c in cols])
-        return out.rename_columns(keys + cols)
+    def agg(t: pa.Table) -> pa.Table:
+        return t.group_by(keys).aggregate(aggs).rename_columns(names)
 
-    return hash_aggregate(ds, keys, gsum, gsum,
+    return hash_aggregate(ds, keys, agg, agg,
                           num_partitions=num_partitions)
+
+
+def per_group(ds, keys: Sequence[str], fn: Callable[[pa.Table], pa.Table]):
+    """``fn`` once per group of ``keys`` → the concatenated outputs —
+    the one replacement for Ray Data's ``map_groups``.  The hash
+    exchange brings a group's rows to one partition; its finalize lists
+    each group's row numbers and hands ``fn`` those rows, so ``fn`` sees
+    every row of a group exactly once.  NULL keys form one group.  A
+    partition without rows emits its 0-row keys."""
+    keys = list(keys)
+
+    def walk(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return t.select([k for k in keys if k in t.column_names])
+        rows = t.append_column("_row", pa.array(range(t.num_rows),
+                                                pa.int64()))
+        rows = rows.group_by(keys, use_threads=False).aggregate(
+            [("_row", "list")])["_row_list"]
+        return _concat_mixed([fn(t.take(r.values)) for r in rows])
+
+    return hash_aggregate(ds, keys, None, walk)
 
 
 def _join_reduce(join_type, on, right_on, l_suffix, r_suffix, n_left,

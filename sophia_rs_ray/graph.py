@@ -26,6 +26,8 @@ from typing import Callable, Iterable, Optional, Union
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .functions.exchange import grouped
+
 Matcher = Union[None, str, Iterable[str], Callable[[str], bool]]
 
 _POSITIONS = ("s", "p", "o")
@@ -103,13 +105,7 @@ def _project(ds, col: str, out: str, distinct: bool):
     proj = ds.map_batches(
         lambda b: pa.table({out: pc.cast(b[col], pa.large_string())}),
         batch_format="pyarrow")
-    if distinct:
-        from ray.data.aggregate import Count
-
-        agg = proj.groupby(out).aggregate(Count(alias_name="_n"))
-        proj = agg.map_batches(lambda b: b.select([out]),
-                               batch_format="pyarrow")
-    return proj
+    return grouped(proj, [out]) if distinct else proj
 
 
 def subjects(ds, distinct: bool = True):
@@ -131,13 +127,7 @@ def graph_names(ds, distinct: bool = True):
         lambda b: pa.table({"term": pc.cast(b["g"], pa.large_string())})
         .filter(pc.not_equal(b["g"], pa.scalar(""))),
         batch_format="pyarrow")
-    if distinct:
-        from ray.data.aggregate import Count
-
-        agg = named.groupby("term").aggregate(Count(alias_name="_n"))
-        named = agg.map_batches(lambda b: b.select(["term"]),
-                                batch_format="pyarrow")
-    return named
+    return grouped(named, ["term"]) if distinct else named
 
 
 def _terms_of_kind(ds, prefix_ok: Callable[[str], bool], distinct: bool):
@@ -151,13 +141,7 @@ def _terms_of_kind(ds, prefix_ok: Callable[[str], bool], distinct: bool):
         return pa.table({"term": pa.array(vals, pa.large_string())})
 
     out = ds.map_batches(explode, batch_format="pyarrow")
-    if distinct:
-        from ray.data.aggregate import Count
-
-        agg = out.groupby("term").aggregate(Count(alias_name="_n"))
-        out = agg.map_batches(lambda b: b.select(["term"]),
-                              batch_format="pyarrow")
-    return out
+    return grouped(out, ["term"]) if distinct else out
 
 
 def iris(ds, distinct: bool = True):

@@ -94,16 +94,10 @@ SELECT p, count(*) AS n FROM ({DOC_TRIPLES_SQL}) GROUP BY p
 
 def _subjects_distinct(sf_dir: str):
     """`Graph::subjects()` projection with dedup (api/src/graph.rs:193)."""
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import grouped
 
-    ds = doc_triples(sf_dir)
-
-    def dedup(t: pa.Table) -> pa.Table:
-        return t.group_by(["s"]).aggregate([])
-
-    proj = ds.map_batches(lambda b: b.select(["s"]),
-                          batch_format="pyarrow")
-    return hash_aggregate(proj, ["s"], dedup, dedup)
+    return grouped(doc_triples(sf_dir).map_batches(
+        lambda b: b.select(["s"]), batch_format="pyarrow"), ["s"])
 
 
 SUBJECTS_DISTINCT_SQL = f"SELECT DISTINCT s FROM ({DOC_TRIPLES_SQL})"
@@ -2078,7 +2072,8 @@ def _near_dup_clusters(sf_dir: str):
 
 def _c14n_digests(sf_dir: str):
     """Per-page canonical digest: flagship extract (pre-dedup triples,
-    skolemized) → groupby(url).map_groups(RDFC-1.0) → (url, digest).
+    skolemized) → per-url RDFC-1.0 (``exchange.per_group``) → (url,
+    digest).
     The many-small-graphs c14n path (SURVEY §3.2)."""
     from ..pipelines.kg import kg_pipeline
     from ..sources.pages import SF_PAGE_COUNTS, pages_dataset
@@ -2218,10 +2213,11 @@ GAZETTEER = ["hash value", "customer", "query", "spark"]
 
 
 def _gazetteer_mentions(sf_dir: str):
-    """NER mention detection (actor pool, gazetteer compiled once per
-    actor) over the documents table → per-doc surface counts.  Longest-
-    match non-overlap semantics are mirrored by the RE2 alternation in
-    the DuckDB oracle (longest-first alternation ⇒ same matches)."""
+    """NER mention detection (gazetteer compiled once per worker
+    process) over the documents table → per-doc surface counts.
+    Longest-match non-overlap semantics are mirrored by the RE2
+    alternation in the DuckDB oracle (longest-first alternation ⇒ same
+    matches)."""
     import ray.data as rd
 
     from ..stages.ner import detect_mentions
@@ -2266,8 +2262,8 @@ _LINK_DICT = {
 
 def _docs_links(sf_dir: str):
     """Scored (doc_id, surface, entity) links over the documents table:
-    the REAL MentionDetector actor pool + score_links context-join
-    argmax, with a constant two-candidate dictionary and a deterministic
+    the REAL cached MentionDetector + score_links context-join argmax,
+    with a constant two-candidate dictionary and a deterministic
     context (even doc_ids structurally 'contain' the /2 candidates, so
     context beats prior there — 2·in_ctx + prior semantics)."""
     import ray
@@ -2381,9 +2377,10 @@ FROM (SELECT doc_id,
 
 def _entity_links(sf_dir: str):
     """Full NER + entity-linking pipeline over the synthetic pages:
-    dictionary from schema:name triples (ray.put broadcast), actor-pool
-    mention detection, context join, per-mention argmax. Rows-only;
-    template-oracle accuracy ≥0.95 asserted in tests/test_ner.py."""
+    dictionary from schema:name triples (ray.put broadcast), cached
+    per-worker mention detection, context join, per-mention argmax.
+    Rows-only; template-oracle accuracy ≥0.95 asserted in
+    tests/test_ner.py."""
     from ..sources.pages import ENT, SF_PAGE_COUNTS, pages_dataset
     from ..stages.ner import entity_link_pipeline
 
@@ -2826,7 +2823,7 @@ WITH RECURSIVE perms(pi, a, b) AS (VALUES
 toks AS (
   SELECT doc_id,
          list_filter(regexp_split_to_array(lower(coalesce(text, '')),
-                                           '\W+'),
+                                           '\\W+'),
                      x -> x <> '') AS tk
   FROM documents),
 padded AS (

@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.broadcast import worker_cached
+from ..functions.exchange import grouped, hash_aggregate, per_group
 from ..util import round_away
 from ..util import safe_join
 
@@ -69,8 +70,6 @@ def tpch_q1(sf_dir: str):
     """Q1-style grouped aggregate. Pattern: per-batch pyarrow hash-groupby
     partials (combiner) → exchange group-sum over partials → finalize.
     The wide shuffle moves ≤ (groups × blocks) rows instead of all rows."""
-    from ..functions.exchange import grouped_sum
-
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity",
                 "l_extendedprice", "l_discount"])
@@ -97,9 +96,10 @@ def tpch_q1(sf_dir: str):
              ("q_disc_price", "sum"), ("q_disc", "sum"), ("one", "sum")])
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = grouped_sum(partials, ["l_returnflag", "l_linestatus"],
-                      ["q_qty_sum", "q_price_sum", "q_disc_price_sum",
-                       "q_disc_sum", "one_sum"])
+    agg = grouped(partials, ["l_returnflag", "l_linestatus"],
+                  [(c, "sum") for c in ("q_qty_sum", "q_price_sum",
+                                        "q_disc_price_sum", "q_disc_sum",
+                                        "one_sum")])
 
     def finalize(b: pa.Table) -> pa.Table:
         n = b["one_sum"].to_numpy(zero_copy_only=False).astype("float64")
@@ -146,8 +146,6 @@ FROM lineitem GROUP BY l_returnflag, l_linestatus
 def events_hourly(sf_dir: str):
     """Tumbling-window aggregate over the events stream table
     (SURVEY §2.11: window = groupby on a derived time bucket)."""
-    from ..functions.exchange import grouped_sum
-
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -161,8 +159,9 @@ def events_hourly(sf_dir: str):
         return b.group_by(["event_type", "hour"]).aggregate(
             [("q", "sum"), ("one", "sum")])
 
-    agg = grouped_sum(ds.map_batches(partial, batch_format="pyarrow"),
-                      ["event_type", "hour"], ["q_sum", "one_sum"])
+    agg = grouped(ds.map_batches(partial, batch_format="pyarrow"),
+                  ["event_type", "hour"],
+                  [("q_sum", "sum"), ("one_sum", "sum")])
 
     def finalize(b: pa.Table) -> pa.Table:
         avg = round_away(
@@ -214,8 +213,6 @@ def customers_per_region(sf_dir: str):
                       "one": pa.array([1] * len(b), pa.int64())})
         return t.group_by("r_name").aggregate([("one", "sum")])
 
-    from ..functions.exchange import hash_aggregate
-
     def _gsum(t: pa.Table) -> pa.Table:
         return t.group_by(["r_name"]).aggregate(
             [("one_sum", "sum")]).rename_columns(["r_name", "one_sum"])
@@ -239,8 +236,6 @@ def orders_per_segment(sf_dir: str):
     """Left-outer join (SPARQL OPTIONAL): per-customer order counts
     (0 when absent) aggregated per market segment. Both sides large →
     hash-partitioned Dataset.join."""
-
-    from ..functions.exchange import hash_aggregate
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
@@ -290,7 +285,6 @@ GROUP BY c_mktsegment
 def _distinct_keys(ds, col: str, num_partitions: int = 16):
     """Distinct values of one column via the hash exchange (per-block
     combiner first — no full-row shuffle)."""
-    from ..functions.exchange import hash_aggregate
 
     def dedup(t: pa.Table) -> pa.Table:
         return pa.table({col: pc.unique(t[col])})
@@ -358,8 +352,6 @@ def customers_without_orders(sf_dir: str):
                           "one": pa.array([1] * len(b), pa.int64())})
             return t.group_by("n_name").aggregate([("one", "sum")])
 
-        from ..functions.exchange import hash_aggregate
-
         def _gsum(t: pa.Table) -> pa.Table:
             return t.group_by(["n_name"]).aggregate(
                 [("one_sum", "sum")]).rename_columns(["n_name", "one_sum"])
@@ -403,8 +395,6 @@ def large_parts_in_lineitem(sf_dir: str):
                           "one": pa.array([1] * len(b), pa.int64())})
             return t.group_by("p_brand").aggregate([("one", "sum")])
 
-        from ..functions.exchange import hash_aggregate
-
         def _gsum(t: pa.Table) -> pa.Table:
             return t.group_by(["p_brand"]).aggregate(
                 [("one_sum", "sum")]).rename_columns(["p_brand",
@@ -440,7 +430,6 @@ def top_orders_by_revenue(sf_dir: str, k: int = 10):
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_extendedprice", "l_discount"])
 
-    from ..functions.exchange import hash_aggregate
     from ..util import topk
 
     def combine(b: pa.Table) -> pa.Table:
@@ -481,7 +470,7 @@ ORDER BY revenue DESC, l_orderkey LIMIT 10
 
 def nations_per_region_concat(sf_dir: str):
     """GROUP_CONCAT(sep=',') with deterministic (sorted) member order
-    (aggregate_iter.rs:111-117) via groupby().map_groups."""
+    (aggregate_iter.rs:111-117) via ``exchange.per_group``."""
     nation = _read(sf_dir, "nation", ["n_name", "n_regionkey"])
     import ray
     region = _read(sf_dir, "region").to_pandas()
@@ -498,8 +487,8 @@ def nations_per_region_concat(sf_dir: str):
                          "nations": pa.array([",".join(names)],
                                              pa.string())})
 
-    return (nation.map_batches(add_rname, batch_format="pyarrow")
-            .groupby("r_name").map_groups(concat, batch_format="pyarrow"))
+    return per_group(nation.map_batches(add_rname, batch_format="pyarrow"),
+                     ["r_name"], concat)
 
 
 NATIONS_CONCAT_SQL = """
@@ -618,7 +607,6 @@ def clicks_asof_view(sf_dir: str):
     max event_id per (user, ts) for tie determinism; both sides flow
     through one hash exchange on user_id, each partition does a sorted
     searchsorted merge (functions/temporal.asof_join)."""
-    from ..functions.exchange import hash_aggregate
     from ..functions.temporal import asof_join
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts",
@@ -706,8 +694,6 @@ def events_props_k(sf_dir: str):
     summing pre-combine per batch before one small hash exchange."""
     import json
 
-    from ..functions.exchange import hash_aggregate
-
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -759,7 +745,6 @@ def price_median_by_flag(sf_dir: str):
     values per group ≪ rows (money columns: bounded domain); no
     full-column sort, no driver row materialization — only the
     histogram (|distinct| rows) leaves the exchange."""
-    from ..functions.exchange import hash_aggregate
 
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
 

@@ -3,37 +3,35 @@
 Two operators (SURVEY §3.2 "Ray shape" of the c14n pipeline):
 
 ``c14n_per_graph``
-    groupby(graph-key).map_groups(pure RDFC-1.0) — canonicalize MANY
-    small graphs in parallel (the web-scale use: each page's extracted
-    graph gets a canonical form / digest for dedup, diffing, conformance).
-    Embarrassingly parallel; one shuffle on the graph key.
+    one hash exchange on the graph key (``exchange.per_group``), then
+    pure RDFC-1.0 per group — canonicalize MANY small graphs in
+    parallel (the web-scale use: each page's extracted graph gets a
+    canonical form / digest for dedup, diffing, conformance).
 
 ``c14n_dataset``
-    whole-dataset canonicalization, decomposed:
-      1. bnode-free quads stream straight through (they canonicalize to
-         themselves — no shuffle);
-      2. bnode co-occurrence edges → distributed connected components
-         (iterated min-label groupby fixpoint, `functions/components.py`);
-      3. per-bnode first-degree hashes computed per component in
-         parallel (`map_groups`);
-      4. GLOBAL numbering: unique hashes sorted → ``c14n{i}``; the rare
+    whole-dataset canonicalization:
+      1. each row is flagged by whether it holds a blank node;
+      2. the blank-node rows come to the driver, which builds one
+         ``C14nState`` over them: first-degree hashes, then GLOBAL
+         numbering — unique hashes sorted → ``c14n{i}``; the rare
          shared-hash residue (symmetric structures) is replayed exactly
-         per the reference's step 5 (``c14n/src/rdfc10.rs:238-262``) with
-         the canonical issuer pre-seeded, so output bytes match the
-         single-process reference;
-      5. broadcast label map → relabel + canonical-N-Quads format →
+         per the reference's step 5 (``c14n/src/rdfc10.rs:238-262``)
+         with the canonical issuer pre-seeded, so output bytes match
+         the single-process reference;
+      3. broadcast label map → relabel + canonical-N-Quads format of
+         all rows (bnode-free rows canonicalize to themselves) →
          global sort.
 
-    Scale bound (documented, by design): the per-bnode label table and
-    the shared-hash residue are driver-materialized — O(#blank nodes),
-    not O(#quads). Web data bnodes are document-scoped tree structures,
+    Scale bound (documented, by design): the blank-node rows and the
+    label table are driver-materialized — O(#blank-node quads), not
+    O(#quads). Web data bnodes are document-scoped tree structures,
     so the residue (identical first-degree neighbourhoods) is tiny; the
-    quad stream itself never materializes.
+    bnode-free quad stream never materializes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -43,12 +41,11 @@ from ..c14n import (
     DEFAULT_DEPTH_FACTOR,
     DEFAULT_PERMUTATION_LIMIT,
     Quad,
-    hash_first_degree,
     nq_term,
     normalize_quads,
 )
 from ..ntriples import parse_term_text
-from ..terms import KIND_BNODE, Term
+from ..terms import KIND_BNODE
 
 
 def _row_quads(b: pa.Table, cols=("s", "p", "o"), g_col: Optional[str] = "g"
@@ -86,8 +83,9 @@ def c14n_per_graph(ds, *, group_col: str = "url", cols=("s", "p", "o"),
     """
     import hashlib
 
+    from ..functions.exchange import per_group
+
     def do_group(b: pa.Table) -> pa.Table:
-        key = b[group_col][0].as_py()
         try:
             text = normalize_quads(
                 _row_quads(b, cols, None), depth_factor=depth_factor,
@@ -97,14 +95,13 @@ def c14n_per_graph(ds, *, group_col: str = "url", cols=("s", "p", "o"),
             text, err = "", f"{type(e).__name__}: {e}"
         if digest_only:
             val = hashlib.sha256(text.encode()).hexdigest() if not err else ""
-            return pa.table({group_col: [key], "digest": [val], "error": [err]})
-        lines = text.splitlines(keepends=True) if text else []
-        n = len(lines)
-        return pa.table({group_col: [key] * max(n, 1),
-                         "nq": lines or [""],
-                         "error": [err] * max(n, 1)})
+            return pa.table({group_col: b[group_col].slice(0, 1),
+                             "digest": [val], "error": [err]})
+        lines = text.splitlines(keepends=True) or [""]
+        return pa.table({group_col: b[group_col].take([0] * len(lines)),
+                         "nq": lines, "error": [err] * len(lines)})
 
-    return ds.groupby(group_col).map_groups(do_group, batch_format="pyarrow")
+    return per_group(ds, [group_col], do_group)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +119,7 @@ def _bnode_mask(b: pa.Table, cols, g_col) -> pa.Array:
 
 def c14n_dataset(ds, *, cols=("s", "p", "o"), g_col: Optional[str] = "g",
                  depth_factor: float = DEFAULT_DEPTH_FACTOR,
-                 permutation_limit: int = DEFAULT_PERMUTATION_LIMIT,
-                 num_partitions: int = 16):
+                 permutation_limit: int = DEFAULT_PERMUTATION_LIMIT):
     """Whole-dataset RDFC-1.0 → Dataset of sorted canonical rows
     (s, p, o[, g] in canonical-NQ text plus the joined ``nq`` line).
 

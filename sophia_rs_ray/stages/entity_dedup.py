@@ -67,19 +67,21 @@ def exact_entity_mapping_ds(nt_ds, *, subject_prefix: str = "",
                             name_predicate: str = SCHEMA_NAME):
     """Dataset (old, canon) for entities whose names are *exactly*
     equal (canonical = min IRI per name group) — the SQL-checkable
-    sibling of ``entity_mapping_ds``."""
-    from ray.data.aggregate import Min
+    sibling of ``entity_mapping_ds``.  One exchange on ``text``: a
+    partition holds every row of its names, so it finds each name's
+    minimum locally and emits the non-identity pairs."""
+    from ..functions.exchange import hash_aggregate
+
+    def pairs(t: pa.Table) -> pa.Table:
+        t = t.join(t.group_by("text").aggregate([("doc_id", "min")]),
+                   "text", use_threads=False)
+        f = t.filter(pc.not_equal(t["doc_id"], t["doc_id_min"]))
+        return pa.table({"old": pc.cast(f["doc_id"], pa.string()),
+                         "canon": pc.cast(f["doc_id_min"], pa.string())})
 
     ents = entity_name_table(nt_ds, subject_prefix=subject_prefix,
                              name_predicate=name_predicate)
-    canon = ents.groupby("text").aggregate(Min("doc_id", alias_name="canon"))
-    pairs = safe_join(ents, canon, "inner", 8, on=("text",))
-    return pairs.map_batches(
-        lambda b: (lambda f: pa.table({
-            "old": pc.cast(f["doc_id"], pa.string()),
-            "canon": pc.cast(f["canon"], pa.string())}))(
-            b.filter(pc.invert(pc.equal(b["doc_id"], b["canon"])))),
-        batch_format="pyarrow")
+    return hash_aggregate(ents, ["text"], None, pairs)
 
 
 def rewrite_via_join(nt_ds, mapping_ds, *, num_partitions: int = 16):

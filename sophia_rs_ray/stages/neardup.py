@@ -66,7 +66,7 @@ def lsh_candidate_pairs(sigs_ds, *, n_bands: int = 16, rows_per_band: int = 4,
     DuckDB oracle reproduces the cap exactly."""
     import hashlib
 
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import grouped, hash_aggregate
 
     bands = sigs_ds.map_batches(
         lambda b: band_rows(b, n_bands, rows_per_band),
@@ -107,11 +107,7 @@ def lsh_candidate_pairs(sigs_ds, *, n_bands: int = 16, rows_per_band: int = 4,
                            num_partitions=num_partitions)
 
     # a pair found in several bands must be verified once
-    def dedup(t: pa.Table) -> pa.Table:
-        return t.group_by(["a", "b"]).aggregate([])
-
-    return hash_aggregate(pairs, ["a", "b"], dedup, dedup,
-                          num_partitions=num_partitions)
+    return grouped(pairs, ["a", "b"], num_partitions=num_partitions)
 
 
 def verify_pairs(pairs_ds, sigs_ds, *, threshold: float = 0.5,

@@ -1,4 +1,4 @@
-"""NER mention detection + entity-link scoring (stateful actor-pool stages).
+"""NER mention detection + entity-link scoring (per-worker cached stages).
 
 North-rule stages (BASELINE.json ``north_star``): "stateful actor-pool
 stages run batched NER mention detection and entity-link scoring against
@@ -8,19 +8,20 @@ the distributed analogue of sophia's ``BasicTermIndex`` interning
 (reference ``inmem/src/index.rs:322-368``): a read-only ``surface →
 [(entity_iri, prior)]`` map built **from the graph itself** (the
 ``schema:name`` triples), shipped once to the object store with
-``ray.put`` and materialized once per actor in ``__init__`` — never
-re-shipped per batch.
+``ray.put`` and built once per worker process
+(``broadcast.worker_cached``) — never re-shipped per batch.
 
 Pipeline shape (all Ray Data, no driver loops):
 
     triples ──filter p=schema:name──► name dictionary (small side, ray.put)
        │                                        │
-       └──► page_entities (url, ent)     MentionDetector actor pool
-                     │                          │  (pages → mentions,
-                     └────── left join on ──────┘   candidates exploded)
-                             (url, cand)
+       └──► page_entities (url, ent)     detect_mentions (cached
+                     │                          │  MentionDetector per
+                     │                          │  worker: pages →
+                     └────── left join on ──────┘  mentions, candidates
+                             (url, cand)           exploded)
                                 │
-                 groupby(url, begin) → LinkScorer argmax
+              hash exchange on (url, begin) → argmax
                                 │
                    links (url, surface, entity, score)
 
@@ -28,10 +29,10 @@ Scale notes: the dictionary is the *entity catalog*, not the corpus —
 O(#entities), assumed to fit the object store for broadcast (the usual
 KG case).  If it outgrows that, the scale path is sharding the
 dictionary by ``hash(surface)`` and replacing the broadcast with a
-hash join on the surface key; the join + groupby stages below already
-express link scoring without per-driver loops.  Hub entities (the
-"celebrity" skew in the synthetic corpus) only widen the *candidate*
-explode, which is capped per mention.
+hash join on the surface key; the join + exchange stages below
+already express link scoring without per-driver loops.  Hub entities
+(the "celebrity" skew in the synthetic corpus) only widen the
+*candidate* explode, which is capped per mention.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
+from ..functions.exchange import grouped, hash_aggregate
 from ..util import safe_join
 
 SCHEMA_NAME = "http://schema.org/name"
@@ -121,13 +123,13 @@ def _unescape_nt_literal(o_nt: str) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# mention detection (actor pool; gazetteer compiled once per actor)
+# mention detection (gazetteer compiled once per worker process)
 # ---------------------------------------------------------------------------
 
 def compile_gazetteer(surfaces: Sequence[str]) -> Optional[re.Pattern]:
     """One alternation regex, longest-surface-first (leftmost-longest
     non-overlapping matching), bounded by non-alphanumerics.  Compiled
-    once per actor (SURVEY §2.4 — setup in ``__init__``, not per batch).
+    once per worker (SURVEY §2.4 — setup in ``__init__``, not per batch).
     Scale path for 10^7+ surfaces: Aho-Corasick automaton."""
     surfaces = [s for s in surfaces if s and _WORDish.search(s)]
     if not surfaces:
@@ -138,19 +140,12 @@ def compile_gazetteer(surfaces: Sequence[str]) -> Optional[re.Pattern]:
 
 
 class MentionDetector:
-    """Actor-pool stage: (url|doc_id, text) → candidate mention rows.
+    """(url|doc_id, text) → candidate mention rows, over a ``surface →
+    [(entity_iri, prior)]`` dict.  ``detect_mentions`` builds one per
+    worker process from the broadcast dictionary."""
 
-    ``dictionary`` may be a plain dict or a ``ray.ObjectRef`` to one
-    (broadcast: ``ray.put`` once on the driver, ``ray.get`` here once
-    per actor — zero-copy from the local object store on each node).
-    """
-
-    def __init__(self, dictionary, *, key_col: str = "url",
+    def __init__(self, dictionary: dict, *, key_col: str = "url",
                  text_col: str = "text", max_candidates: int = 8):
-        import ray
-
-        if isinstance(dictionary, ray.ObjectRef):
-            dictionary = ray.get(dictionary)
         self.dict = dictionary
         self.rx = compile_gazetteer(list(dictionary.keys()))
         self.key_col = key_col
@@ -194,8 +189,7 @@ def detect_mentions(ds, dictionary, *, key_col: str = "url",
                     batch_size: int = 256):
     """Task-pool mention detection: the gazetteer automaton compiles
     once per worker process (cache keyed by the broadcast ref, zero-copy
-    ``ray.get`` from the node-local store) — same once-per-worker setup
-    as the MentionDetector actor pool without its per-execution actor
+    ``ray.get`` from the node-local store), with no per-execution actor
     spin-up cost.  Plain dicts are ``ray.put`` here so every task shares
     one broadcast copy."""
     import ray
@@ -233,15 +227,13 @@ def page_entities(nt_triples_ds, *, subject_prefix: str = ""):
                 if t.startswith("<" + subject_prefix):
                     urls.append(url)
                     ents.append(t[1:-1])
-        t = pa.table({"url": pa.array(urls, pa.large_string()),
-                      "cand": pa.array(ents, pa.large_string())})
-        ded = t.group_by(["url", "cand"]).aggregate([])
-        return ded.append_column("in_ctx", pa.array([1] * len(ded), pa.int64()))
+        return pa.table({"url": pa.array(urls, pa.large_string()),
+                         "cand": pa.array(ents, pa.large_string()),
+                         "in_ctx": pa.array([1] * len(urls), pa.int64())})
 
-    ded = nt_triples_ds.map_batches(per_batch, batch_format="pyarrow")
-    # exact distinct across blocks
-    from ray.data.aggregate import Max
-    return ded.groupby(["url", "cand"]).aggregate(Max("in_ctx", alias_name="in_ctx"))
+    return grouped(nt_triples_ds.map_batches(per_batch,
+                                             batch_format="pyarrow"),
+                   ["url", "cand"], [("in_ctx", "max")])
 
 
 def score_links(mentions_ds, context_ds, *, key_col: str = "url",
@@ -252,8 +244,8 @@ def score_links(mentions_ds, context_ds, *, key_col: str = "url",
     structured triples wins; otherwise the deterministic prior breaks
     ties (no RNG — SURVEY §4.1 determinism hazards)."""
     def norm(b: pa.Table) -> pa.Table:
-        # join keys must agree exactly; Ray groupby re-emits string for
-        # large_string keys, so pin both sides to string.
+        # join keys must agree exactly (large_string vs string, and
+        # int doc_ids), so pin both sides to string.
         for c in (key_col, "cand"):
             if c in b.column_names:
                 i = b.column_names.index(c)
@@ -265,22 +257,21 @@ def score_links(mentions_ds, context_ds, *, key_col: str = "url",
         context_ds.map_batches(norm, batch_format="pyarrow"),
         "left_outer", num_partitions, on=(key_col, "cand"))
 
-    def pick_best(group: pa.Table) -> pa.Table:
-        in_ctx = group["in_ctx"].to_pylist()
-        prior = group["prior"].to_pylist()
-        scores = [2.0 * (1 if c else 0) + p for c, p in zip(in_ctx, prior)]
-        best = max(range(len(scores)),
-                   key=lambda i: (scores[i], group["cand"][i].as_py()))
-        return pa.table({
-            key_col: [group[key_col][best].as_py()],
-            "begin": pa.array([group["begin"][best].as_py()], pa.int64()),
-            "surface": [group["surface"][best].as_py()],
-            "entity": [group["cand"][best].as_py()],
-            "score": pa.array([scores[best]], pa.float64()),
-        })
+    def pick_best(t: pa.Table) -> pa.Table:
+        # the first row of each (key, begin) run in (score desc, cand
+        # desc) order: the max of (score, cand)
+        ctx = pc.fill_null(pc.not_equal(t["in_ctx"], 0), False)
+        score = pc.add(pc.multiply(pc.cast(ctx, pa.float64()), 2.0),
+                       t["prior"])
+        t = t.append_column("score", score).sort_by(
+            [("score", "descending"), ("cand", "descending")])
+        best = t.group_by([key_col, "begin"], use_threads=False).aggregate(
+            [("surface", "first"), ("cand", "first"), ("score", "first")])
+        return best.rename_columns(
+            [key_col, "begin", "surface", "entity", "score"])
 
-    return joined.groupby([key_col, "begin"]).map_groups(
-        pick_best, batch_format="pyarrow")
+    return hash_aggregate(joined, [key_col, "begin"], None, pick_best,
+                          num_partitions=num_partitions)
 
 
 def links_to_triples(links_ds, *, key_col: str = "url"):
@@ -301,18 +292,17 @@ def links_to_triples(links_ds, *, key_col: str = "url"):
 
 
 def entity_link_pipeline(pages_ds, *, subject_prefix: str = "",
-                         concurrency=None,
                          batch_size: int = 128,
                          num_partitions: Optional[int] = None):
     """End-to-end: pages → triples + text → dictionary broadcast →
-    mention detection (cached task pool; pass ``concurrency`` for the
-    actor-pool variant) → context join → scored links."""
+    mention detection (per-worker cached detector) → context join →
+    scored links."""
     import ray
 
     from ..pipelines.kg import extract_text, kg_pipeline
 
     if num_partitions is None:
-        # join shuffle width ~ cluster CPUs (aggregator actors must fit)
+        # exchange width ~ cluster CPUs
         num_partitions = max(4, int(ray.cluster_resources().get("CPU", 4)))
 
     # The deduped triple table feeds BOTH the dictionary build and the
@@ -324,13 +314,6 @@ def entity_link_pipeline(pages_ds, *, subject_prefix: str = "",
     d = name_dictionary(nt, subject_prefix=subject_prefix)
     d_ref = ray.put(d)
     text = extract_text(pages_ds)
-    if concurrency is None:
-        mentions = detect_mentions(text, d_ref, batch_size=batch_size)
-    else:
-        mentions = text.map_batches(
-            MentionDetector,
-            fn_constructor_kwargs={"dictionary": d_ref},
-            batch_format="pyarrow", concurrency=concurrency,
-            batch_size=batch_size)
+    mentions = detect_mentions(text, d_ref, batch_size=batch_size)
     ctx = page_entities(nt, subject_prefix=subject_prefix)
     return score_links(mentions, ctx, num_partitions=num_partitions)

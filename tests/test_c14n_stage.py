@@ -59,27 +59,51 @@ def test_c14n_dataset_no_bnodes(ray_session):
 
 
 def test_c14n_per_graph(ray_session):
+    """Per-graph digests: isomorphic graphs agree, and a graph whose
+    triples are spread over three input blocks canonicalizes exactly as
+    in one block and as ``normalize_quads`` on the graph alone."""
+    import hashlib
+
     import ray.data as rd
 
     from sophia_rs_ray.stages.c14n_stage import c14n_per_graph
+    from sophia_rs_ray.terms import format_term
 
-    g1 = ["_:a <tag:p> _:b .", "_:b <tag:p> <tag:o> ."]
-    g2 = ["_:x <tag:p> _:y .", "_:y <tag:p> <tag:o> ."]  # isomorphic to g1
-    g3 = ["<tag:s> <tag:p> <tag:o3> ."]
+    graphs = {
+        "u1": ["_:a <tag:p> _:b .", "_:b <tag:p> <tag:o> .",
+               '_:a <tag:q> "x" .'],
+        "u2": ["_:x <tag:p> _:y .", "_:y <tag:p> <tag:o> .",
+               '_:x <tag:q> "x" .'],  # isomorphic to u1
+        "u3": ["<tag:s> <tag:p> <tag:o3> .", "<tag:s> <tag:p> _:z .",
+               "_:z <tag:q> <tag:o> ."],
+    }
     rows = {"url": [], "s": [], "p": [], "o": []}
-    for url, lines in (("u1", g1), ("u2", g2), ("u3", g3)):
+    for url, lines in graphs.items():
         for (s, p, o, _g) in parse_document("\n".join(lines)):
-            from sophia_rs_ray.terms import format_term
-
             rows["url"].append(url)
             rows["s"].append(format_term(s))
             rows["p"].append(format_term(p))
             rows["o"].append(format_term(o))
-    ds = rd.from_arrow(pa.table(rows))
-    out = c14n_per_graph(ds, digest_only=True).take_all()
+    t = pa.table(rows)
+    out = c14n_per_graph(rd.from_arrow(t), digest_only=True).take_all()
     by_url = {r["url"]: r["digest"] for r in out}
     assert by_url["u1"] == by_url["u2"] != by_url["u3"]
     assert all(not r["error"] for r in out)
+
+    # row i → block i % 3: each url's three triples span all three
+    split = rd.from_arrow([t.take(list(range(j, t.num_rows, 3)))
+                           for j in range(3)])
+    assert split.num_blocks() == 3
+    got = c14n_per_graph(split, digest_only=True).take_all()
+    assert len(got) == 3
+    assert {r["url"]: r["digest"] for r in got} == by_url
+    nq: dict = {}
+    for r in c14n_per_graph(split).take_all():
+        nq[r["url"]] = nq.get(r["url"], "") + r["nq"]
+    for url, lines in graphs.items():
+        want = normalize_quads(parse_document("\n".join(lines)))
+        assert nq[url] == want
+        assert by_url[url] == hashlib.sha256(want.encode()).hexdigest()
 
 
 def test_c14n_per_graph_toxic_is_error_row(ray_session):

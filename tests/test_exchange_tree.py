@@ -315,20 +315,26 @@ _GATED_MODULES = ["pipelines/queries.py", "pipelines/relational.py",
                   "stages/entity_dedup.py", "sparql/algebra.py"]
 
 
-def _offenders(pattern, skip=None, only=None):
+def _modules():
+    """(path relative to the package, absolute path) of every module."""
     import sophia_rs_ray
 
     root = os.path.dirname(sophia_rs_ray.__file__)
-    out = []
     for dirpath, _dirs, files in os.walk(root):
         for f in files:
-            rel = os.path.relpath(os.path.join(dirpath, f), root)
-            if not f.endswith(".py") or rel == skip or \
-                    (only is not None and rel not in only):
-                continue
-            with open(os.path.join(root, rel), encoding="utf-8") as fh:
-                out += [f"{rel}:{n}" for n, line in enumerate(fh, 1)
-                        if re.search(pattern, line)]
+            if f.endswith(".py"):
+                path = os.path.join(dirpath, f)
+                yield os.path.relpath(path, root), path
+
+
+def _offenders(pattern, skip=None, only=None):
+    out = []
+    for rel, path in _modules():
+        if rel == skip or (only is not None and rel not in only):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            out += [f"{rel}:{n}" for n, line in enumerate(fh, 1)
+                    if re.search(pattern, line)]
     return out
 
 
@@ -337,11 +343,71 @@ def test_only_scatter_builds_exchanges():
     other module launches multi-return split tasks or builds a merge
     tree of its own or wraps a kernel per call; ``functions.broadcast``
     holds the one ObjectRef-keyed worker cache; the gated modules pull
-    no unbounded side."""
+    no unbounded side; every grouping goes through the exchange, never
+    through Ray Data's sort-based ``groupby`` / ``map_groups``."""
     for home, pattern in _HOMED:
         assert _offenders(pattern, skip=home) == [], home
     assert _offenders(r"\.take_all\(\)|\.take\(\s*(\d|_*[A-Z])",
                       only=_GATED_MODULES) == []
+    assert _offenders(
+        r"\.groupby\(|map_groups\(|ray\.data\.aggregate") == []
+
+
+def test_modules_compile_with_warnings_as_errors():
+    """No module leans on a deprecated construct such as an invalid
+    string escape, which newer Pythons turn into a SyntaxError."""
+    import warnings
+
+    bad = []
+    for rel, path in _modules():
+        with open(path, encoding="utf-8") as fh:
+            src = fh.read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                compile(src, rel, "exec")
+            except SyntaxError as e:
+                bad.append(f"{rel}: {e}")
+    assert bad == []
+
+
+def test_grouped_and_per_group_null_keys(ray_session):
+    """NULL keys spread over several blocks form ONE group in
+    ``grouped`` (DISTINCT and ``min``) and in ``per_group``, as DuckDB
+    ``GROUP BY`` does."""
+    import duckdb
+    import ray.data as rd
+
+    from sophia_rs_ray.functions.exchange import grouped, per_group
+
+    blocks = [pa.table({"k": pa.array(ks, pa.string()),
+                        "v": pa.array(vs, pa.int64())})
+              for ks, vs in ((["a", None, "b"], [5, 7, None]),
+                             ([None, "a"], [3, 1]),
+                             ([None, None, "c"], [9, None, 2]))]
+    ds = rd.from_arrow(blocks)
+    tbl = pa.concat_tables(blocks)  # noqa: F841 (read by duckdb)
+
+    def rows(t: pa.Table):
+        return sorted(zip(*t.to_pydict().values()),
+                      key=lambda r: tuple((x is None, x) for x in r))
+
+    def got(out):
+        return rows(pa.Table.from_pylist(out.take_all()))
+
+    def want(sql):
+        return rows(duckdb.sql(sql).arrow())
+
+    def count(g: pa.Table) -> pa.Table:
+        return pa.table({"k": g["k"].slice(0, 1),
+                         "n": pa.array([g.num_rows], pa.int64())})
+
+    assert got(grouped(ds, ["k"], num_partitions=3)) == \
+        want("SELECT k FROM tbl GROUP BY k")
+    assert got(grouped(ds, ["k"], [("v", "min")], num_partitions=3)) == \
+        want("SELECT k, min(v) AS v FROM tbl GROUP BY k")
+    assert got(per_group(ds, ["k"], count)) == \
+        want("SELECT k, count(*) AS n FROM tbl GROUP BY k")
 
 
 def test_repeat_calls_reuse_remote_functions(ray_session, monkeypatch):

@@ -3,8 +3,8 @@
 The oracle is computed from the page-template parameters directly
 (sources/pages._params) — NOT by re-running the detector — so the test
 checks the whole distributed path: dictionary build from schema:name
-triples, ray.put broadcast, actor-pool detection, context join, argmax
-scoring.
+triples, ray.put broadcast, cached per-worker detection, context join,
+argmax scoring.
 """
 
 import pyarrow as pa
@@ -36,7 +36,7 @@ def _covered_entities(n):
 @pytest.fixture(scope="module")
 def links(ray_session):
     ds = entity_link_pipeline(pages_dataset(N_PAGES), subject_prefix=ENT,
-                              concurrency=2, num_partitions=4)
+                              num_partitions=4)
     return ds.take_all()
 
 
