@@ -54,7 +54,7 @@ def _mat_of(batch: pa.Table) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def cosine_near_dup(emb_ds, *, threshold: float = 0.4,
-                    concurrency=None, batch_size: int = 4096):
+                    batch_size: int = 4096):
     """All pairs with cosine ≥ threshold, as distributed block-tile
     matmuls.  Each tile task holds two normalized chunks (bounded
     memory); pairs are emitted as (min_id, max_id) so every unordered

@@ -75,8 +75,8 @@ def minhash_batch(batch: pa.Table, *, n_perm: int = 64, k: int = 3,
                   seed: int = 42) -> pa.Table:
     """Task-pool MinHash: permutation params cached per worker PROCESS
     (lru_cache) — the once-per-worker setup of the actor-pool pattern
-    without per-execution actor spin-up.  Measured: the MinHasher
-    stage's remote compute is ~0.7 s at bench scale while the fresh
+    without per-execution actor spin-up.  Measured: the signature
+    stage's remote compute is ~0.7 s at bench scale while a fresh
     actor pool costs ~2 s of wall per execution; state this cheap
     belongs in a cached task fn, actors are for expensive state."""
     a, b = _cached_perms(n_perm, seed)
@@ -87,28 +87,6 @@ def minhash_batch(batch: pa.Table, *, n_perm: int = 64, k: int = 3,
         "sig": pa.array([s.astype(np.int64) for s in sigs],
                         pa.list_(pa.int64())),
     })
-
-
-class MinHasher:
-    """Stateful hasher for actor-pool use: permutation params built once
-    in __init__ (per actor), applied per batch."""
-
-    def __init__(self, n_perm: int = 64, k: int = 3, seed: int = 42):
-        self.a, self.b = _perm_params(n_perm, seed)
-        self.k = k
-        self.n_perm = n_perm
-
-    def signature(self, text: str) -> np.ndarray:
-        return minhash_signature(shingle_hashes(text, self.k), self.a, self.b)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # minhash values live in [0, 2^61) → int64-safe without shifting
-        sigs = [self.signature(t or "") for t in batch["text"].to_pylist()]
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "sig": pa.array([s.astype(np.int64) for s in sigs],
-                            pa.list_(pa.int64())),
-        })
 
 
 def band_rows(batch: pa.Table, n_bands: int, rows_per_band: int) -> pa.Table:
@@ -165,13 +143,6 @@ def simhash_batch(b: pa.Table) -> pa.Table:
                      "simhash": pa.array([h - (1 << 63) for h in hs], pa.int64())})
 
 
-def _trigram_set(text: str) -> Set[str]:
-    """Whitespace-token 3-grams (matches the DuckDB oracle's
-    string_split_regex('\\s+') tokenization — no lowercasing)."""
-    toks = [t for t in re.split(r"\s+", text or "") if t]
-    return {" ".join(toks[i:i + 3]) for i in range(len(toks) - 2)}
-
-
 def trigram_jaccard_consecutive(docs_ds, *, num_partitions: int = 4):
     """(doc_id, text) → (id_a, id_b, jac) for consecutive doc_ids —
     the exact-verification kernel of near-dup dedup, as a join +
@@ -181,15 +152,18 @@ def trigram_jaccard_consecutive(docs_ds, *, num_partitions: int = 4):
     import pyarrow.compute as pc
 
     def grams(b: pa.Table) -> pa.Table:
-        # grams ride through the join as one \x1f-joined string: Arrow's
-        # acero join rejects list<> payload columns
-        ids = [int(x) for x in b["doc_id"].to_pylist()]
-        gs = ["\x1f".join(sorted(_trigram_set(t)))
-              for t in b["text"].to_pylist()]
-        return pa.table({
-            "id": pa.array(ids, pa.int64()),
-            "grams": pa.array(gs, pa.large_string()),
-        })
+        # each doc's distinct whitespace-token 3-grams (the oracle's
+        # string_split_regex('\\s+') tokens, no lowercasing) ride through
+        # the join as one \x1f-joined string: Arrow's acero join rejects
+        # list<> payload columns
+        import polars as pl
+
+        from .text import arrow_out, ngrams, token_lists
+
+        df = token_lists(b).select(
+            id=pl.col("doc_id").cast(pl.Int64),
+            grams=ngrams(3).list.unique().list.join("\x1f"))
+        return arrow_out(df, b, id=pa.int64(), grams=pa.large_string())
 
     left = docs_ds.map_batches(grams, batch_format="pyarrow")
     right = left.map_batches(

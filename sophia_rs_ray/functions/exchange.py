@@ -459,20 +459,27 @@ def map_partitions(refs, fn) -> list:
 
 
 def grouped(ds, keys: Sequence[str], aggs: Sequence = (), *,
+            finalize: Optional[Callable[[pa.Table], pa.Table]] = None,
             num_partitions: Optional[int] = None):
     """Per-key aggregate via the hash exchange — the one replacement for
     Ray Data's sort-based ``groupby(keys).aggregate(...)``.  ``aggs``
     are pyarrow ``(col, fn)`` pairs whose ``fn`` also folds its own
     partials ("sum", "min", "max"); the output keeps the input names,
-    keys + cols.  ``aggs=()`` is an exact DISTINCT on ``keys``.  NULL
-    keys form one group, as SQL ``GROUP BY`` does."""
+    keys + cols, mapped by ``finalize`` per partition when given.
+    ``aggs=()`` is an exact DISTINCT on ``keys``.  NULL keys form one
+    group, as SQL ``GROUP BY`` does.  An empty block that lost its
+    aggregated columns (Ray passes 0-row blocks through ``map_batches``
+    without calling the fn) adds nothing: it aggregates to its keys."""
     keys, aggs = list(keys), list(aggs)
     names = keys + [c for c, _ in aggs]
 
     def agg(t: pa.Table) -> pa.Table:
+        if not t.num_rows and not set(names) <= set(t.column_names):
+            return t.select(keys)
         return t.group_by(keys).aggregate(aggs).rename_columns(names)
 
-    return hash_aggregate(ds, keys, agg, agg,
+    return hash_aggregate(ds, keys, agg, agg if finalize is None else
+                          lambda t: finalize(agg(t)),
                           num_partitions=num_partitions)
 
 

@@ -3,12 +3,27 @@
 All are vectorized/batched ``map_batches`` bodies; the regexes and
 profiles are module-level constants (compiled once per worker import) —
 stateless tasks, no actor needed.
+
+Every token statistic goes through one path, so the engine and the
+DuckDB oracles agree on what a token is:
+
+- :func:`token_lists` is the one tokenizer (NULL text → no tokens);
+- :func:`ngrams` is the one n-gram builder over its token lists, and
+  :func:`ngram_rows` / :func:`ngram_batch` explode them per occurrence,
+  per distinct n-gram of a document, or with positions;
+- :func:`token_count` is the one token count (no token lists built),
+  :func:`n_tokens` its Arrow form;
+- :func:`arrow_out` turns a polars result back into Arrow with the
+  input's ``doc_id`` type and the declared output types.
+
+``tokens_of`` is the per-string reference the differential tests
+(tests/test_text_vectorized.py) pin all of them to.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -38,12 +53,6 @@ def tokens_of(text: str) -> List[str]:
     return [t for t in _TOKEN_SPLIT.split(text) if t]
 
 
-def _coalesced_text(b: pa.Table):
-    import pyarrow.compute as pc
-
-    return pc.coalesce(b["text"], pa.scalar("", type=b["text"].type))
-
-
 def _pl_docs(b: pa.Table):
     """(doc_id, text) Arrow batch → polars frame with nulls coalesced
     to '' — the shared front end of the polars-vectorized kernels."""
@@ -53,18 +62,93 @@ def _pl_docs(b: pa.Table):
     return df.with_columns(pl.col("text").fill_null(""))
 
 
+def arrow_out(df, b: pa.Table, **types) -> pa.Table:
+    """A polars result → Arrow: each column cast to ``types[name]``, or
+    back to ``b``'s type when ``b`` has the column (polars widens
+    strings, and ``doc_id`` keeps the input's type)."""
+    out = df.to_arrow()
+    types = {**dict(zip(b.schema.names, b.schema.types)), **types}
+    return pa.table({c: out[c].cast(types.get(c, out[c].type))
+                     for c in out.column_names})
+
+
+def token_lists(b: pa.Table, cols: Sequence[str] = ("doc_id",)):
+    """The one tokenizer: a polars frame of ``b``'s ``cols`` plus
+    ``tok``, each text's RE2 \\S+ tokens in order (NULL text → [])."""
+    import polars as pl
+
+    return pl.from_arrow(b.select([*cols, "text"])).select(
+        *cols, pl.col("text").fill_null("").str.extract_all(TOKEN_RE2)
+        .alias("tok"))
+
+
+def ngrams(n: int):
+    """The one n-gram builder: ``tok``'s list of its ``n`` adjacent
+    tokens joined by ' ' (n = 1: the tokens themselves; a list shorter
+    than ``n`` has none)."""
+    import polars as pl
+
+    if n == 1:
+        return pl.col("tok")
+    return pl.col("tok").list.eval(pl.concat_str(
+        [pl.element().shift(-j) for j in range(n)],
+        separator=" ").drop_nulls())
+
+
+def ngram_rows(toks, n: int, name: str, cols: Sequence[str] = ("doc_id",),
+               *, distinct: bool = False, positions: bool = False):
+    """Token lists (:func:`token_lists`) → one row per n-gram
+    occurrence as (cols, name), or per distinct n-gram of a document
+    (``distinct``), or with its first token's 0-based index as
+    (cols, pos, name) (``positions``)."""
+    import polars as pl
+
+    g = ngrams(n).list.unique() if distinct else ngrams(n)
+    df = toks.select(*cols, g.alias(name))
+    if positions:
+        df = df.select(*cols, pl.int_ranges(pl.col(name).list.len())
+                       .alias("pos"), name)
+        return df.explode(["pos", name], empty_as_null=False)
+    return df.explode(name, empty_as_null=False)
+
+
+def ngram_batch(b: pa.Table, n: int, name: str, *, distinct: bool = False,
+                positions: bool = False) -> pa.Table:
+    """(doc_id, text) → (doc_id, [pos,] name) rows of
+    :func:`ngram_rows`: the map side of every per-document n-gram plan
+    (bigram rarity, decontamination shingles, duplicate spans, LM and
+    DSIR scoring).  Per-document distinct rows are globally distinct
+    because a doc lives in exactly one batch."""
+    return arrow_out(ngram_rows(token_lists(b), n, name, distinct=distinct,
+                                positions=positions),
+                     b, pos=pa.int64(), **{name: pa.string()})
+
+
+def token_count():
+    """The one token count: each ``text``'s RE2 \\S+ runs as a polars
+    Int64 expression (NULL text → 0), ≡ ``len(tokens_of(t))`` without
+    building the tokens.  polars' count is measured 3× faster than
+    pyarrow's ``count_substring_regex`` (20 vs 59 ms per 5,000 bench
+    docs)."""
+    import polars as pl
+
+    return (pl.col("text").fill_null("").str.count_matches(TOKEN_RE2)
+            .cast(pl.Int64))
+
+
+def n_tokens(b: pa.Table) -> pa.Array:
+    """:func:`token_count` of ``b``'s texts as an Arrow int64 array."""
+    import polars as pl
+
+    return pl.from_arrow(b.select(["text"])).select(
+        token_count()).to_series().to_arrow()
+
+
 def token_count_batch(b: pa.Table) -> pa.Table:
     """(doc_id, text) → (doc_id, n_tokens). Whitespace tokenization,
     empty tokens dropped — mirrored exactly by the DuckDB oracle
-    (``string_split_regex`` + filter).  Vectorized: one RE2 kernel
-    counting \\S+ runs (≡ len(tokens_of(t)), differential-pinned in
-    tests/test_text_vectorized.py)."""
-    import pyarrow.compute as pc
-
-    t = _coalesced_text(b)
-    counts = pc.count_substring_regex(t, pattern=TOKEN_RE2)
-    return pa.table({"doc_id": b["doc_id"],
-                     "n_tokens": pc.cast(counts, pa.int64())})
+    (``string_split_regex`` + filter)."""
+    return pa.table({"doc_id": b["doc_id"], "n_tokens": n_tokens(b)})
 
 
 def quality_batch(b: pa.Table) -> pa.Table:
@@ -87,15 +171,13 @@ def quality_batch(b: pa.Table) -> pa.Table:
     out = df.select(
         "doc_id",
         n_chars.alias("n_chars"),
-        pl.col("text").str.count_matches(TOKEN_RE2).cast(pl.Int64)
-          .alias("n_tokens"),
+        token_count().alias("n_tokens"),
         pl.col("text").str.replace_all(f"[{_RE2_WS}]+", "")
           .str.len_chars().cast(pl.Int64).alias("token_chars"),
         (n_chars - pl.col("text").str.replace_all("[A-Za-z]+", "")
          .str.len_chars().cast(pl.Int64)).alias("alpha_chars"),
-    ).to_arrow()
-    return out.set_column(0, "doc_id", out["doc_id"].cast(
-        b["doc_id"].type))
+    )
+    return arrow_out(out, b)
 
 
 def lang_id_batch(b: pa.Table) -> pa.Table:
@@ -297,119 +379,19 @@ def pii_redact_batch(b: pa.Table) -> pa.Table:
     })
 
 
-def bigram_pairs_batch(b: pa.Table) -> pa.Table:
-    """Per-document DISTINCT token bigrams as (doc_id, bigram) pairs —
-    the map side of corpus-level bigram-rarity aggregation.  Pairs are
-    globally distinct because a doc lives in exactly one batch.
-    Vectorized polars (tokenize → adjacent-shift concat → list.unique
-    → explode), differential-pinned in tests/test_text_vectorized.py."""
-    import polars as pl
-
-    bigram = (pl.element() + " " + pl.element().shift(-1)).drop_nulls()
-    out = (_pl_docs(b)
-           .select(pl.col("doc_id"),
-                   pl.col("text").str.extract_all(TOKEN_RE2)
-                   .list.eval(bigram).list.unique().alias("bigram"))
-           .explode("bigram", empty_as_null=False)
-           .drop_nulls("bigram")
-           .to_arrow())
-    return pa.table({"doc_id": out["doc_id"].cast(b["doc_id"].type),
-                     "bigram": out["bigram"].cast(pa.string())})
-
-
 #: shingle width for benchmark decontamination — 8 consecutive tokens,
 #: the usual "13-gram-ish" contamination test scaled to the short bench
 #: docs; mirrored by the DuckDB oracle's list-comprehension slice
 SHINGLE_K = 8
 
 
-def shingle_pairs_batch(b: pa.Table) -> pa.Table:
-    """(doc_id, text) → per-document DISTINCT ``SHINGLE_K``-token
-    shingles as (doc_id, sh) pairs — the map side of benchmark
-    decontamination.  Pairs are globally distinct because a doc lives
-    in exactly one batch.  Vectorized polars: tokenize → k adjacent
-    shifts concatenated inside ``list.eval`` → list.unique → explode
-    (the SHINGLE_K-wide generalization of ``bigram_pairs_batch``)."""
-    import polars as pl
-
-    sh = pl.element()
-    for j in range(1, SHINGLE_K):
-        sh = sh + " " + pl.element().shift(-j)
-    out = (_pl_docs(b)
-           .select(pl.col("doc_id"),
-                   pl.col("text").str.extract_all(TOKEN_RE2)
-                   .list.eval(sh.drop_nulls()).list.unique().alias("sh"))
-           .explode("sh", empty_as_null=False)
-           .drop_nulls("sh")
-           .to_arrow())
-    return pa.table({"doc_id": out["doc_id"].cast(b["doc_id"].type),
-                     "sh": out["sh"].cast(pa.string())})
-
-
-def shingle_pos_batch(b: pa.Table) -> pa.Table:
-    """(doc_id, text) → EVERY ``SHINGLE_K``-token shingle occurrence as
-    (doc_id, pos, sh) rows, pos = 0-based token index of the shingle's
-    first token — the map side of exact-substring duplicate-span
-    detection (keeps multiplicity AND position, unlike
-    ``shingle_pairs_batch``'s per-doc distinct set).  Vectorized
-    polars: tokenize → k adjacent shifts inside ``list.eval`` →
-    parallel 0..n-1 position lists → aligned two-column explode."""
-    import polars as pl
-
-    sh = pl.element()
-    for j in range(1, SHINGLE_K):
-        sh = sh + " " + pl.element().shift(-j)
-    out = (_pl_docs(b)
-           .select(pl.col("doc_id"),
-                   pl.col("text").str.extract_all(TOKEN_RE2)
-                   .list.eval(sh.drop_nulls()).alias("sh"))
-           .with_columns(pl.int_ranges(pl.col("sh").list.len())
-                         .alias("pos"))
-           .explode(["sh", "pos"])
-           .drop_nulls("sh")
-           .to_arrow())
-    return pa.table({"doc_id": out["doc_id"].cast(b["doc_id"].type),
-                     "pos": out["pos"].cast(pa.int64()),
-                     "sh": out["sh"].cast(pa.string())})
-
-
-def token_tf_batch(b: pa.Table) -> pa.Table:
-    """(doc_id, text) → per-document term frequencies as
-    (doc_id, tok, tf) rows — the map side of tf-idf term ranking.
-    Counts are per-doc EXACT because a doc lives in exactly one batch.
-    Vectorized polars: tokenize → explode → group count."""
-    import polars as pl
-
-    out = (_pl_docs(b)
-           .select(pl.col("doc_id"),
-                   pl.col("text").str.extract_all(TOKEN_RE2).alias("tok"))
-           .explode("tok")
-           .drop_nulls("tok")
-           .group_by(["doc_id", "tok"])
-           .len(name="tf")
-           .to_arrow())
-    return pa.table({"doc_id": out["doc_id"].cast(b["doc_id"].type),
-                     "tok": out["tok"].cast(pa.string()),
-                     "tf": out["tf"].cast(pa.int64())})
-
-
 def token_freq_batch(b: pa.Table) -> pa.Table:
     """(text) → corpus token occurrence counts of the batch as (tok, c)
     rows — the per-block partial of every exact vocabulary count;
-    partials merge by SUM.  Vectorized polars: tokenize → explode →
-    group count."""
-    import polars as pl
-
-    out = (pl.from_arrow(b.select(["text"]))
-           .select(pl.col("text").fill_null("")
-                   .str.extract_all(TOKEN_RE2).alias("tok"))
-           .explode("tok", empty_as_null=True)
-           .drop_nulls("tok")
-           .group_by("tok")
-           .len(name="c")
-           .to_arrow())
-    return pa.table({"tok": out["tok"].cast(pa.string()),
-                     "c": out["c"].cast(pa.int64())})
+    partials merge by SUM."""
+    df = ngram_rows(token_lists(b, ()), 1, "tok", ())
+    return arrow_out(df.group_by("tok").len("c"), b, tok=pa.string(),
+                     c=pa.int64())
 
 
 #: fixed token-window size standing in for paragraph boundaries — the
@@ -430,21 +412,15 @@ def segments_batch(b: pa.Table) -> pa.Table:
     tests/test_text_vectorized.py."""
     import polars as pl
 
-    ex = (_pl_docs(b)
-          .select(pl.col("doc_id"),
-                  pl.col("text").str.extract_all(TOKEN_RE2).alias("tok"))
-          .with_row_index("rid")
-          .explode("tok", empty_as_null=False)
-          .drop_nulls("tok"))
+    ex = ngram_rows(token_lists(b).with_row_index("rid"), 1, "tok",
+                    ("rid", "doc_id"))
     out = (ex.with_columns(
                seg_idx=(pl.int_range(pl.len()).over("rid")
                         // SEGMENT_TOKENS))
            .group_by(["rid", "doc_id", "seg_idx"], maintain_order=True)
            .agg(pl.col("tok").str.join(" ").alias("seg"))
-           .to_arrow())
-    return pa.table({"doc_id": out["doc_id"].cast(b["doc_id"].type),
-                     "seg_idx": out["seg_idx"].cast(pa.int64()),
-                     "seg": out["seg"].cast(pa.large_string())})
+           .drop("rid"))
+    return arrow_out(out, b, seg_idx=pa.int64(), seg=pa.large_string())
 
 
 def doc_segment_totals_batch(b: pa.Table) -> pa.Table:
@@ -452,12 +428,10 @@ def doc_segment_totals_batch(b: pa.Table) -> pa.Table:
     total segment count (seg_idx = -1, seg = '').  Unioned with the
     kept-segment stream so every doc_id survives reassembly even when
     all of its segments were corpus-duplicated (or the text is empty).
-    Vectorized: one RE2 token-count kernel + integer ceil-div."""
+    Vectorized: the token count + integer ceil-div."""
     import pyarrow.compute as pc
 
-    n_tok = pc.cast(pc.count_substring_regex(
-        _coalesced_text(b), pattern=TOKEN_RE2), pa.int64())
-    totals = pc.divide(pc.add(n_tok, pa.scalar(SEGMENT_TOKENS - 1)),
+    totals = pc.divide(pc.add(n_tokens(b), pa.scalar(SEGMENT_TOKENS - 1)),
                        pa.scalar(SEGMENT_TOKENS))
     n = len(b)
     return pa.table({"doc_id": b["doc_id"],
@@ -489,29 +463,9 @@ def chunk_docs_batch(b: pa.Table) -> pa.Table:
                               + CHUNK_S - 1) // CHUNK_S + 1)
            .with_columns(chunk_id=pl.int_ranges(0, pl.col("_nc")))
            .explode("chunk_id")
-           .with_columns(chunk=pl.col("text").str.slice(
-               pl.col("chunk_id") * CHUNK_S, CHUNK_W))
-           .to_arrow())
-    return pa.table({"doc_id": out["doc_id"].cast(b["doc_id"].type),
-                     "chunk_id": out["chunk_id"].cast(pa.int64()),
-                     "chunk": out["chunk"].cast(pa.string())})
-
-
-def doc_bigram_batch(b: pa.Table) -> pa.Table:
-    """(doc_id, text) → (doc_id, bigram) per OCCURRENCE (duplicates
-    kept) — the scoring side of the bigram LM's distributed-join plan."""
-    import polars as pl
-
-    bigram = (pl.element() + " " + pl.element().shift(-1)).drop_nulls()
-    out = (_pl_docs(b)
-           .select(pl.col("doc_id"),
-                   pl.col("text").str.extract_all(TOKEN_RE2)
-                   .list.eval(bigram).alias("bigram"))
-           .explode("bigram", empty_as_null=True)
-           .drop_nulls("bigram")
-           .to_arrow())
-    return pa.table({"doc_id": out["doc_id"].cast(b["doc_id"].type),
-                     "bigram": out["bigram"].cast(pa.string())})
+           .select("doc_id", "chunk_id", chunk=pl.col("text").str.slice(
+               pl.col("chunk_id") * CHUNK_S, CHUNK_W)))
+    return arrow_out(out, b, chunk_id=pa.int64(), chunk=pa.string())
 
 
 #: DSIR importance-weight target slice: the "high-quality target
@@ -520,75 +474,19 @@ def doc_bigram_batch(b: pa.Table) -> pa.Table:
 DSIR_TARGET_LANG = "en"
 
 
-def token_lang_tf_batch(b: pa.Table) -> pa.Table:
-    """(doc_id, text, lang) → per-batch PARTIAL unigram counts
-    (tok, c_all, c_tgt): every token occurrence counted once in
-    ``c_all`` and, when the document's lang equals
-    ``DSIR_TARGET_LANG``, once in ``c_tgt`` — the single-pass map side
-    of DSIR importance-weight training (both distributions in one
-    exchange).  Vectorized polars."""
-    import polars as pl
-    import pyarrow.compute as pc
-
-    df = (pl.from_arrow(b.select(["text", "lang"]))
-          .with_columns(pl.col("text").fill_null(""),
-                        tgt=(pl.col("lang") == DSIR_TARGET_LANG)
-                        .fill_null(False)))
-    out = (df.select(pl.col("tgt"),
-                     pl.col("text").str.extract_all(TOKEN_RE2)
-                     .alias("tok"))
-           .explode("tok", empty_as_null=True)
-           .drop_nulls("tok")
-           .group_by(["tok"])
-           .agg(c_all=pl.len().cast(pl.Int64),
-                c_tgt=pl.col("tgt").sum().cast(pl.Int64))
-           .to_arrow())
-    return pa.table({"tok": out["tok"].cast(pa.string()),
-                     "c_all": out["c_all"].cast(pa.int64()),
-                     "c_tgt": out["c_tgt"].cast(pa.int64())})
-
-
-def doc_token_batch(b: pa.Table) -> pa.Table:
-    """(doc_id, text) → (doc_id, tok) per OCCURRENCE — the scoring side
-    of DSIR's distributed-join plan."""
-    import polars as pl
-
-    out = (_pl_docs(b)
-           .select(pl.col("doc_id"),
-                   pl.col("text").str.extract_all(TOKEN_RE2)
-                   .alias("tok"))
-           .explode("tok", empty_as_null=True)
-           .drop_nulls("tok")
-           .to_arrow())
-    return pa.table({"doc_id": out["doc_id"].cast(b["doc_id"].type),
-                     "tok": out["tok"].cast(pa.string())})
-
-
 def lm_train_batch(b: pa.Table) -> pa.Table:
     """(doc_id, text) → fused per-batch LM-training partials
     (key, c, is_tok): bigram occurrence counts (is_tok = false) and
-    batch-distinct tokens (is_tok = true, c = 1) in ONE docs pass —
-    one exchange trains both the bigram table and |V|.  Keys cannot
-    collide across kinds: bigrams contain the ' ' joiner, tokens are
-    whitespace-free by construction."""
+    batch-distinct tokens (is_tok = true, c = 1) from ONE tokenization
+    of the batch — one exchange trains both the bigram table and |V|.
+    Keys cannot collide across kinds: bigrams contain the ' ' joiner,
+    tokens are whitespace-free by construction."""
     import polars as pl
 
-    bigram = (pl.element() + " " + pl.element().shift(-1)).drop_nulls()
-    df = _pl_docs(b).select(
-        pl.col("text").str.extract_all(TOKEN_RE2).alias("tok"))
-    bg = (df.select(pl.col("tok").list.eval(bigram).alias("key"))
-          .explode("key", empty_as_null=True)
-          .drop_nulls("key")
-          .group_by("key").len(name="c")
-          .with_columns(c=pl.col("c").cast(pl.Int64),
-                        is_tok=pl.lit(False)))
-    tk = (df.explode("tok", empty_as_null=True)
-          .drop_nulls("tok")
-          .unique()
-          .select(key=pl.col("tok"),
-                  c=pl.lit(1, dtype=pl.Int64),
-                  is_tok=pl.lit(True)))
-    out = pl.concat([bg, tk]).to_arrow()
-    return pa.table({"key": out["key"].cast(pa.string()),
-                     "c": out["c"].cast(pa.int64()),
-                     "is_tok": out["is_tok"].cast(pa.bool_())})
+    toks = token_lists(b, ())
+    bg = (ngram_rows(toks, 2, "key", ()).group_by("key").len("c")
+          .with_columns(is_tok=pl.lit(False)))
+    tk = (ngram_rows(toks, 1, "key", ()).unique()
+          .with_columns(c=pl.lit(1, pl.UInt32), is_tok=pl.lit(True)))
+    return arrow_out(pl.concat([bg, tk]), b, key=pa.string(),
+                     c=pa.int64(), is_tok=pa.bool_())

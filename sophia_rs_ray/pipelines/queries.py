@@ -660,21 +660,48 @@ FROM documents
 """
 
 
+def _per_doc_sums(rows, docs, zero: dict, finalize=None):
+    """The per-document tail: ``rows`` (doc_id + the columns of
+    ``zero``) and one ``zero`` row per document of ``docs`` summed per
+    doc_id through one exchange, then ``finalize``d — so every document
+    appears, one without rows with the zero sums.  A partition whose
+    blocks all lost their schema (Ray strips it off empty blocks) sums
+    to the typed empty."""
+    from ..functions.exchange import grouped
+
+    empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      **{c: pa.array([v])[:0] for c, v in zero.items()}})
+
+    def zeros(b: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": b["doc_id"],
+                         **{c: np.full(len(b), v) for c, v in zero.items()}})
+
+    def fin(t: pa.Table) -> pa.Table:
+        if not set(empty.column_names) <= set(t.column_names):
+            t = empty
+        return t if finalize is None else finalize(t)
+
+    return grouped(rows.union(docs.map_batches(zeros,
+                                               batch_format="pyarrow")),
+                   ["doc_id"], [(c, "sum") for c in zero], finalize=fin)
+
+
 def _novel_bigrams(sf_dir: str):
     """Per-document count of corpus-unique bigrams (bigrams appearing
     in exactly one document) — a rarity/novelty signal for curriculum
     and dedup triage.  Plan: per-doc distinct (bigram, doc_id) pairs →
     hash exchange on the bigram (per-bigram doc counts, keep
-    singletons) → second tiny exchange summing per doc, union'd with a
-    zero row per document so every doc_id appears."""
+    singletons) → the per-document tail (:func:`_per_doc_sums`)."""
     import ray.data as rd
 
     from ..functions.exchange import hash_aggregate
-    from ..functions.text import bigram_pairs_batch
+    from ..functions.text import ngram_batch
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    pairs = docs.map_batches(bigram_pairs_batch, batch_format="pyarrow")
+    pairs = docs.map_batches(ngram_batch, batch_format="pyarrow",
+                             fn_kwargs={"n": 2, "name": "bigram",
+                                        "distinct": True})
 
     # pairs are globally distinct (distinct-per-doc, doc in one batch).
     # Block-level cap combiner (segment_dedup's trick): a bigram seen
@@ -695,24 +722,11 @@ def _novel_bigrams(sf_dir: str):
         g = g.rename_columns(["bigram", "nd", "only_doc"])
         f = g.filter(pc.equal(g["nd"], pa.scalar(1, pa.int64())))
         return pa.table({"doc_id": f["only_doc"],
-                         "novel": pa.array([1] * f.num_rows, pa.int64())})
+                         "novel_bigrams": pa.array([1] * f.num_rows,
+                                                   pa.int64())})
 
     singles = hash_aggregate(pairs, ["bigram"], cap_pairs, per_bigram)
-
-    zeros = docs.map_batches(
-        lambda b: pa.table({"doc_id": b["doc_id"],
-                            "novel": pa.array([0] * len(b), pa.int64())}),
-        batch_format="pyarrow")
-
-    def sum_doc(t: pa.Table) -> pa.Table:
-        return t.group_by(["doc_id"]).aggregate([("novel", "sum")]) \
-            .rename_columns(["doc_id", "novel"])
-
-    def final_doc(t: pa.Table) -> pa.Table:
-        return sum_doc(t).rename_columns(["doc_id", "novel_bigrams"])
-
-    return hash_aggregate(singles.union(zeros), ["doc_id"],
-                          sum_doc, final_doc)
+    return _per_doc_sums(singles, docs, {"novel_bigrams": 0})
 
 
 NOVEL_BIGRAMS_SQL = r"""
@@ -745,32 +759,14 @@ LEFT JOIN (SELECT doc_id, count(*) AS c FROM singles GROUP BY 1) n
 DECONTAM_BENCH_MAX_ID = 10
 
 
-def _decontam_pairs(sf_dir: str):
-    import ray.data as rd
+def _shingle_pairs(docs):
+    """(doc_id, sh) per-document distinct ``SHINGLE_K``-token
+    shingles."""
+    from ..functions.text import SHINGLE_K, ngram_batch
 
-    from ..functions.text import shingle_pairs_batch
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    return docs.map_batches(shingle_pairs_batch, batch_format="pyarrow")
-
-
-def _decontam_zeros(sf_dir: str):
-    """One (doc_id, 0) row per non-benchmark document — unioned with
-    the hit counts so every corpus doc appears in the result (the
-    novel_bigrams zeros pattern; also sidesteps Ray's schema loss on
-    all-empty datasets when nothing is contaminated)."""
-    import ray.data as rd
-
-    import pyarrow.compute as pc
-
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"],
-        filter=pc.field("doc_id") >= DECONTAM_BENCH_MAX_ID)
-    return docs.map_batches(
-        lambda b: pa.table({"doc_id": b["doc_id"],
-                            "n": pa.array([0] * len(b), pa.int64())}),
-        batch_format="pyarrow")
+    return docs.map_batches(ngram_batch, batch_format="pyarrow",
+                            fn_kwargs={"n": SHINGLE_K, "name": "sh",
+                                       "distinct": True})
 
 
 def _bench_shingles(bench: pa.Table):
@@ -780,82 +776,14 @@ def _bench_shingles(bench: pa.Table):
     return pc.unique(bench["sh"])
 
 
-def _decontaminate_broadcast(pairs, bench_ref, zeros):
-    """Benchmark decontamination, broadcast plan: the benchmark's
-    shingle pairs (fixed-size by construction, gathered under the
-    broadcast gate) are ``ray.put`` once as ``bench_ref``, and every
-    task filters its own shingles against the node-local distinct set
-    — no shuffle of the corpus side at all."""
-    import pyarrow.compute as pc
-
-    from ..functions.broadcast import worker_cached
-
-    def score(t: pa.Table) -> pa.Table:
-        arr = worker_cached(bench_ref, _bench_shingles)
-        rest = t.filter(pc.greater_equal(
-            t["doc_id"], pa.scalar(DECONTAM_BENCH_MAX_ID,
-                                   t["doc_id"].type)))
-        hit = rest.filter(pc.is_in(rest["sh"], value_set=arr))
-        g = hit.group_by(["doc_id"]).aggregate([("sh", "count")])
-        return g.rename_columns(["doc_id", "n"])
-
-    from ..functions.exchange import hash_aggregate
-
-    def sum_doc(t: pa.Table) -> pa.Table:
-        # zero-hit corpora: Ray strips the schema off empty blocks, so
-        # synthesize the output columns (hash_aggregate's documented
-        # combine contract)
-        if "n" not in t.column_names or "doc_id" not in t.column_names:
-            return _empty_decontam()
-        return t.group_by(["doc_id"]).aggregate([("n", "sum")]) \
-            .rename_columns(["doc_id", "n"])
-
-    def final(t: pa.Table) -> pa.Table:
-        return sum_doc(t).rename_columns(["doc_id", "n_contaminated"])
-
-    scored = pairs.map_batches(score, batch_format="pyarrow")
-    # per-doc shingles are distinct, but one doc's shingles may span
-    # batches after upstream re-blocking — the tiny exchange re-sums
-    return hash_aggregate(scored.union(zeros), ["doc_id"],
-                          sum_doc, final)
-
-
-def _empty_decontam() -> pa.Table:
-    return pa.table({"doc_id": pa.array([], pa.int64()),
-                     "n": pa.array([], pa.int64())})
-
-
-def _decontaminate_exchange(pairs, zeros):
-    """Distributed fallback for an over-gate benchmark: semi-join by
-    shingle hash partition (bench membership resolved per partition),
-    then a per-doc count exchange.  Equality with the broadcast plan is
-    pinned in tests/test_broadcast.py."""
-    import pyarrow.compute as pc
-
-    from ..functions.exchange import hash_aggregate
-
-    def per_sh(t: pa.Table) -> pa.Table:
-        if "sh" not in t.column_names or "doc_id" not in t.column_names:
-            return _empty_decontam()
-        lim = pa.scalar(DECONTAM_BENCH_MAX_ID, t["doc_id"].type)
-        bench = pc.unique(t.filter(pc.less(t["doc_id"], lim))["sh"])
-        rest = t.filter(pc.greater_equal(t["doc_id"], lim))
-        hit = rest.filter(pc.is_in(rest["sh"], value_set=bench))
-        g = hit.group_by(["doc_id"]).aggregate([("sh", "count")])
-        return g.rename_columns(["doc_id", "n"])
-
-    def sum_doc(t: pa.Table) -> pa.Table:
-        if "n" not in t.column_names or "doc_id" not in t.column_names:
-            return _empty_decontam()
-        return t.group_by(["doc_id"]).aggregate([("n", "sum")]) \
-            .rename_columns(["doc_id", "n"])
-
-    def final(t: pa.Table) -> pa.Table:
-        return sum_doc(t).rename_columns(["doc_id", "n_contaminated"])
-
-    hits = hash_aggregate(pairs, ["sh"], None, per_sh)
-    return hash_aggregate(hits.union(zeros), ["doc_id"],
-                          sum_doc, final)
+def _shingle_hits(t: pa.Table, bench) -> pa.Table:
+    """(doc_id, n_contaminated): per corpus document of the (doc_id,
+    sh) rows ``t``, how many of its shingles are in ``bench``."""
+    rest = t.filter(pc.greater_equal(
+        t["doc_id"], pa.scalar(DECONTAM_BENCH_MAX_ID, t["doc_id"].type)))
+    hit = rest.filter(pc.is_in(rest["sh"], value_set=bench))
+    return hit.group_by(["doc_id"]).aggregate([("sh", "count")]) \
+        .rename_columns(["doc_id", "n_contaminated"])
 
 
 def _decontaminate(sf_dir: str):
@@ -866,27 +794,49 @@ def _decontaminate(sf_dir: str):
     external eval suite).  Docs with ≥1 shared shingle are the
     contamination-removal candidates every LLM training pipeline
     filters before training.  The benchmark side is a separate pruned
-    read (row-group filter pushdown on doc_id)."""
+    read (row-group filter pushdown on doc_id).
+
+    Default plan: the benchmark's shingle pairs (fixed-size by
+    construction, gathered under the broadcast gate) are ``ray.put``
+    once, and every task filters its own shingles against the
+    node-local distinct set — no shuffle of the corpus side.  An
+    over-gate benchmark routes to the distributed semi-join: shingle
+    hash partitions resolve bench membership locally (plan equality
+    pinned in tests/test_broadcast.py).  Either way the per-document
+    tail adds a zero row per corpus document."""
     import ray
     import ray.data as rd
 
-    from ..functions.broadcast import BROADCAST_ROWS, gated_gather
-    from ..functions.text import shingle_pairs_batch
+    from ..functions.broadcast import (BROADCAST_ROWS, gated_gather,
+                                       worker_cached)
+    from ..functions.exchange import hash_aggregate
 
-    bench_docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"],
-        filter=pc.field("doc_id") < DECONTAM_BENCH_MAX_ID)
-    bench_pairs = bench_docs.map_batches(shingle_pairs_batch,
-                                         batch_format="pyarrow")
-    # over-gate benchmarks route to the distributed semi-join (plan
-    # equivalence pinned in tests/test_broadcast.py)
-    bench = gated_gather(bench_pairs, BROADCAST_ROWS)
+    path = f"{sf_dir}/documents.parquet"
+    bench = gated_gather(_shingle_pairs(rd.read_parquet(
+        path, columns=["doc_id", "text"],
+        filter=pc.field("doc_id") < DECONTAM_BENCH_MAX_ID)), BROADCAST_ROWS)
+    pairs = _shingle_pairs(rd.read_parquet(path,
+                                           columns=["doc_id", "text"]))
     if bench is None:
-        return _decontaminate_exchange(_decontam_pairs(sf_dir),
-                                       _decontam_zeros(sf_dir))
-    return _decontaminate_broadcast(_decontam_pairs(sf_dir),
-                                    ray.put(bench),
-                                    _decontam_zeros(sf_dir))
+        def per_sh(t: pa.Table) -> pa.Table:
+            if not {"doc_id", "sh"} <= set(t.column_names):
+                # a schema-less empty: no hits
+                return pa.table({"doc_id": pa.array([], pa.int64()),
+                                 "n_contaminated": pa.array([], pa.int64())})
+            lim = pa.scalar(DECONTAM_BENCH_MAX_ID, t["doc_id"].type)
+            return _shingle_hits(t, pc.unique(
+                t.filter(pc.less(t["doc_id"], lim))["sh"]))
+
+        hits = hash_aggregate(pairs, ["sh"], None, per_sh)
+    else:
+        ref = ray.put(bench)
+        hits = pairs.map_batches(
+            lambda t: _shingle_hits(t, worker_cached(ref, _bench_shingles)),
+            batch_format="pyarrow")
+    corpus = rd.read_parquet(
+        path, columns=["doc_id"],
+        filter=pc.field("doc_id") >= DECONTAM_BENCH_MAX_ID)
+    return _per_doc_sums(hits, corpus, {"n_contaminated": 0})
 
 
 def _decontaminate_sql() -> str:
@@ -939,17 +889,14 @@ def _pack_sequences(sf_dir: str):
     import pyarrow.compute as pc
 
     from ..functions.exchange import hash_aggregate
-    from ..functions.text import TOKEN_RE2
+    from ..functions.text import n_tokens
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "source", "text"])
 
     def counted(b: pa.Table) -> pa.Table:
-        n = pc.cast(pc.count_substring_regex(
-            pc.coalesce(b["text"], pa.scalar("", type=b["text"].type)),
-            pattern=TOKEN_RE2), pa.int64())
         return pa.table({"doc_id": b["doc_id"], "source": b["source"],
-                         "n_tokens": n})
+                         "n_tokens": n_tokens(b)})
 
     def finalize(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -997,19 +944,16 @@ def _source_stats(sf_dir: str):
     import ray.data as rd
 
     from ..functions.exchange import hash_aggregate
-    from ..functions.text import TOKEN_RE2
+    from ..functions.text import n_tokens
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["source", "n_chars", "text"])
 
     def partial(b: pa.Table) -> pa.Table:
-        txt = pc.coalesce(b["text"], pa.scalar("", type=b["text"].type))
-        ntok = pc.cast(pc.count_substring_regex(txt, pattern=TOKEN_RE2),
-                       pa.int64())
         t = pa.table({"source": b["source"],
                       "n_docs": pa.array([1] * len(b), pa.int64()),
                       "total_chars": b["n_chars"],
-                      "total_tokens": ntok})
+                      "total_tokens": n_tokens(b)})
         return _merge_sources(t)
 
     def _merge_sources(t: pa.Table) -> pa.Table:
@@ -1162,11 +1106,13 @@ def _dup_spans(sf_dir: str):
     import ray.data as rd
 
     from ..functions.exchange import hash_aggregate
-    from ..functions.text import SHINGLE_K, shingle_pos_batch
+    from ..functions.text import SHINGLE_K, ngram_batch
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    pos = docs.map_batches(shingle_pos_batch, batch_format="pyarrow")
+    pos = docs.map_batches(ngram_batch, batch_format="pyarrow",
+                           fn_kwargs={"n": SHINGLE_K, "name": "sh",
+                                      "positions": True})
 
     def keep_dup(t: pa.Table) -> pa.Table:
         g = t.group_by(["sh"]).aggregate([("sh", "count")])
@@ -1435,10 +1381,14 @@ def _tfidf_top_terms(sf_dir: str):
     import ray.data as rd
 
     from ..functions.exchange import hash_aggregate, hash_aggregate_refs
-    from ..functions.text import token_tf_batch
+    from ..functions.text import arrow_out, ngram_rows, token_lists
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
+
+    def token_tf(b: pa.Table) -> pa.Table:
+        tf = ngram_rows(token_lists(b), 1, "tok").group_by(["doc_id", "tok"])
+        return arrow_out(tf.len("tf"), b, tok=pa.string(), tf=pa.int64())
 
     def attach_df(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -1447,7 +1397,7 @@ def _tfidf_top_terms(sf_dir: str):
                               .cast(pl.Int64).alias("df"))
                 .to_arrow())
 
-    with_df = hash_aggregate_refs(docs, ["tok"], token_tf_batch, attach_df)
+    with_df = hash_aggregate_refs(docs, ["tok"], token_tf, attach_df)
 
     def topk(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -2902,13 +2852,6 @@ SELECT x AS doc_id, min(y) AS cluster FROM reach GROUP BY x
 # bigram language-model scoring + document chunking (round 5)
 # ---------------------------------------------------------------------------
 
-def _polars_frame(t: pa.Table):
-    """A broadcast score table as the polars frame the scorers join."""
-    import polars as pl
-
-    return pl.from_arrow(t)
-
-
 def _lm_trained(sf_dir: str):
     """Fused LM training: ONE docs pass + ONE exchange produces both
     the bigram counts and the vocabulary — (key, c, is_tok) rows where
@@ -2958,6 +2901,69 @@ def _lm_attach_lp(t: pa.Table, v: int) -> pa.Table:
                      "lp": pa.array(np.log2(num / den), pa.float64())})
 
 
+def _mean_cols(doc_id, s, n, out_col: str, n_col: str) -> pa.Table:
+    """(doc_id, out_col = s / n rounded to 4 places, NULL where n = 0,
+    n_col = n)."""
+    s = np.asarray(s, np.float64)
+    n = np.asarray(n, np.int64)
+    avg = np.round(np.where(n > 0, s, 0.0) / np.maximum(n, 1), 4)
+    return pa.table({"doc_id": doc_id,
+                     out_col: pa.array(avg, pa.float64(), mask=(n == 0)),
+                     n_col: pa.array(n, pa.int64())})
+
+
+def _ngram_mean(sf_dir: str, width: int, key: str, val: str, out_col: str,
+                n_col: str, table):
+    """The scoring half of the LM and DSIR plans: each document's mean
+    ``val`` over its ``width``-gram occurrences (2: bigrams, 1: tokens)
+    found under ``key`` in ``table`` → (doc_id, out_col, n_col = the
+    occurrences found; a document with none gets a NULL mean and 0).
+
+    ``table`` as a driver ``pa.Table`` (under the broadcast gate) is
+    ``ray.put`` once and joined per batch against one polars frame per
+    worker; as a Dataset (the over-gate fallback) it meets the
+    occurrences in a hash join and the per-document tail sums them.
+    Plan equality is pinned in tests/test_broadcast.py."""
+    import ray
+    import ray.data as rd
+
+    from ..functions.broadcast import worker_cached
+    from ..functions.exchange import auto_partitions, exchange_join
+    from ..functions.text import ngram_batch, ngram_rows, token_lists
+
+    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
+                           columns=["doc_id", "text"])
+    if isinstance(table, pa.Table):
+        ref = ray.put(table)
+
+        def score(b: pa.Table) -> pa.Table:
+            import polars as pl
+
+            tab = worker_cached(ref, pl.from_arrow)
+            agg = (ngram_rows(token_lists(b), width, key).join(tab, on=key)
+                   .group_by("doc_id").agg(s=pl.col(val).sum(), n=pl.len()))
+            out = (pl.from_arrow(b.select(["doc_id"]))
+                   .join(agg, on="doc_id", how="left"))
+            return _mean_cols(
+                out["doc_id"].to_arrow().cast(b["doc_id"].type),
+                out["s"].fill_null(0.0).to_numpy(),
+                out["n"].fill_null(0).to_numpy(), out_col, n_col)
+
+        return docs.map_batches(score, batch_format="pyarrow")
+
+    pairs = docs.map_batches(ngram_batch, batch_format="pyarrow",
+                             fn_kwargs={"n": width, "name": key})
+    joined = exchange_join(pairs, table, "inner", auto_partitions(pairs),
+                           on=[key])
+    rows = joined.map_batches(
+        lambda t: pa.table({"doc_id": t["doc_id"], "s": t[val],
+                            "n": np.ones(t.num_rows, np.int64)}),
+        batch_format="pyarrow")
+    return _per_doc_sums(rows, docs, {"s": 0.0, "n": 0}, lambda g: _mean_cols(
+        g["doc_id"], g["s"].to_numpy(zero_copy_only=False),
+        g["n"].to_numpy(zero_copy_only=False), out_col, n_col))
+
+
 def _lm_score(sf_dir: str):
     """Per-document bigram-LM quality score: train an add-one-smoothed
     bigram model on the corpus itself (the CCNet/KenLM-style quality
@@ -2968,130 +2974,41 @@ def _lm_score(sf_dir: str):
     Two streaming passes over documents (fused train, score) — each a
     combiner-first exchange, nothing materializes driver-side except
     the gated model table.  Default plan broadcasts the (bigram, lp)
-    model (``ray.put`` once, per-worker cached frame); above
-    ``BROADCAST_ROWS`` distinct bigrams — counted where the trained
-    partitions live, before any fetch — it auto-routes through the
-    distributed-join plan (:func:`_lm_score_exchange`), pinned equal
-    in tests/test_broadcast.py."""
-    import ray
+    model; above ``BROADCAST_ROWS`` distinct bigrams — counted where
+    the trained partitions live, before any fetch — the bigram table
+    re-exchanges on its leading token so each partition holds every
+    bigram of its w1s (making the c(w1·) window exact) and attaches lp
+    there.  Scoring is :func:`_ngram_mean` either way."""
     import ray.data as rd
 
-    from ..functions.broadcast import (BROADCAST_ROWS, gated_gather,
-                                       worker_cached)
-    from ..functions.exchange import map_partitions
-    from ..functions.text import doc_bigram_batch
+    from ..functions.broadcast import BROADCAST_ROWS, gated_gather
+    from ..functions.exchange import hash_aggregate, map_partitions
 
     def split_bg(t: pa.Table) -> pa.Table:
         f = t.filter(pc.invert(t["is_tok"]))
         return pa.table({"bigram": f["key"], "c": f["c"]})
 
-    trained = _lm_trained(sf_dir)
-    model = gated_gather(trained, BROADCAST_ROWS,
-                         count=lambda t: _lm_row_kinds(t)[0])
-    if model is None:
-        v = sum(map_partitions(trained, lambda t: _lm_row_kinds(t)[1]))
-        return _lm_score_exchange(
-            sf_dir, rd.from_arrow_refs(trained).map_batches(
-                split_bg, batch_format="pyarrow"), v)
-    ref = ray.put(_lm_attach_lp(split_bg(model), _lm_row_kinds(model)[1]))
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-
-    def score(b: pa.Table) -> pa.Table:
-        import polars as pl
-
-        lmf = worker_cached(ref, _polars_frame)
-        pairs = pl.from_arrow(doc_bigram_batch(b))
-        agg = (pairs.join(lmf, on="bigram", how="left")
-               .group_by("doc_id")
-               .agg(slp=pl.col("lp").sum(), n=pl.col("lp").count()))
-        out = (pl.from_arrow(b.select(["doc_id"]))
-               .join(agg, on="doc_id", how="left")
-               .with_columns(n=pl.col("n").fill_null(0)))
-        slp = out["slp"].to_numpy()
-        n = out["n"].to_numpy().astype(np.int64)
-        avg = np.round(np.where(n > 0, slp, 0.0)
-                       / np.maximum(n, 1), 4)
-        return pa.table({
-            "doc_id": out["doc_id"].to_arrow().cast(b["doc_id"].type),
-            "lm_logprob": pa.array(avg, pa.float64(), mask=(n == 0)),
-            "n_bigrams": pa.array(n, pa.int64())})
-
-    return docs.map_batches(score, batch_format="pyarrow")
-
-
-def _doc_mean_exchange(joined, docs, val_col: str, out_col: str,
-                       n_col: str):
-    """Shared tail of the distributed-join scoring plans: per-row
-    (doc_id, val) scores union'd with one zero row per document (so
-    score-less docs survive with a NULL mean — the novel_bigrams
-    idiom) → ONE doc-keyed exchange summing (val, cnt) → rounded mean.
-    Output columns: (doc_id, out_col DOUBLE nullable, n_col BIGINT)."""
-    from ..functions.exchange import hash_aggregate
-
-    def scored_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["doc_id"],
-                         "val": t[val_col],
-                         "cnt": pa.array([1] * t.num_rows, pa.int64())})
-
-    def zeros(b: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": b["doc_id"],
-                         "val": pa.array([0.0] * len(b), pa.float64()),
-                         "cnt": pa.array([0] * len(b), pa.int64())})
-
-    stream = (joined.map_batches(scored_rows, batch_format="pyarrow")
-              .union(docs.map_batches(zeros, batch_format="pyarrow")))
-
-    def sum_doc(t: pa.Table) -> pa.Table:
-        return (t.group_by(["doc_id"])
-                .aggregate([("val", "sum"), ("cnt", "sum")])
-                .rename_columns(["doc_id", "val", "cnt"]))
-
-    def final(t: pa.Table) -> pa.Table:
-        g = sum_doc(t)
-        s = np.asarray(g["val"].to_numpy(zero_copy_only=False))
-        n = np.asarray(g["cnt"].to_numpy(zero_copy_only=False))
-        avg = np.round(np.where(n > 0, s, 0.0) / np.maximum(n, 1), 4)
-        return pa.table({"doc_id": g["doc_id"],
-                         out_col: pa.array(avg, pa.float64(),
-                                           mask=(n == 0)),
-                         n_col: pa.array(n, pa.int64())})
-
-    return hash_aggregate(stream, ["doc_id"], sum_doc, final)
-
-
-def _lm_score_exchange(sf_dir: str, bg, v: int):
-    """Distributed-join scoring plan (no broadcast): re-exchange the
-    bigram table on its leading token so each partition holds every
-    bigram of its w1s (making the c(w1·) window exact), attach lp
-    there, hash-join per-occurrence (doc_id, bigram) pairs against it,
-    then the shared doc-mean exchange tail."""
-    import ray.data as rd
-
-    from ..functions.exchange import (auto_partitions, exchange_join,
-                                      hash_aggregate)
-    from ..functions.text import doc_bigram_batch
-
     def add_w1(t: pa.Table) -> pa.Table:
         import polars as pl
 
-        return (pl.from_arrow(t)
+        return (pl.from_arrow(split_bg(t))
                 .with_columns(w1=pl.col("bigram").str.split(" ")
                               .list.get(0))
                 .to_arrow())
 
-    lm = hash_aggregate(
-        bg.map_batches(add_w1, batch_format="pyarrow"),
-        ["w1"], None, lambda t: _lm_attach_lp(t.drop_columns(["w1"]), v))
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    pairs = docs.map_batches(doc_bigram_batch, batch_format="pyarrow")
-    joined = exchange_join(pairs, lm, "inner", auto_partitions(pairs),
-                           on=["bigram"])
-    return _doc_mean_exchange(joined, docs, "lp",
-                              "lm_logprob", "n_bigrams")
+    trained = _lm_trained(sf_dir)
+    model = gated_gather(trained, BROADCAST_ROWS,
+                         count=lambda t: _lm_row_kinds(t)[0])
+    if model is not None:
+        lm = _lm_attach_lp(split_bg(model), _lm_row_kinds(model)[1])
+    else:
+        v = sum(map_partitions(trained, lambda t: _lm_row_kinds(t)[1]))
+        lm = hash_aggregate(
+            rd.from_arrow_refs(trained).map_batches(add_w1,
+                                                    batch_format="pyarrow"),
+            ["w1"], None, lambda t: _lm_attach_lp(t.drop_columns(["w1"]), v))
+    return _ngram_mean(sf_dir, 2, "bigram", "lp", "lm_logprob", "n_bigrams",
+                       lm)
 
 
 LM_SCORE_SQL = r"""
@@ -3132,25 +3049,35 @@ FROM documents d LEFT JOIN per_doc p USING (doc_id)
 
 def _dsir_token_counts(sf_dir: str):
     """Single-pass DSIR count training: (tok, c_all, c_tgt) over the
-    whole corpus — both the general and the target (lang = en)
-    unigram distributions in ONE combiner-first exchange.  Returns the
-    exchange's partition refs."""
+    whole corpus — every token occurrence counted once in ``c_all`` and,
+    when its document's lang is ``DSIR_TARGET_LANG``, once in ``c_tgt``:
+    both the general and the target unigram distributions in ONE
+    combiner-first exchange.  Returns the exchange's partition refs."""
     import ray.data as rd
 
     from ..functions.exchange import hash_aggregate_refs
-    from ..functions.text import token_lang_tf_batch
+    from ..functions.text import (DSIR_TARGET_LANG, arrow_out, ngram_rows,
+                                  token_lists)
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "lang"])
-    partials = docs.map_batches(token_lang_tf_batch,
-                                batch_format="pyarrow")
+                           columns=["text", "lang"])
+
+    def partial(b: pa.Table) -> pa.Table:
+        import polars as pl
+
+        toks = ngram_rows(token_lists(b, ["lang"]), 1, "tok", ["lang"])
+        return arrow_out(
+            toks.group_by("tok").agg(
+                c_all=pl.len(),
+                c_tgt=(pl.col("lang") == DSIR_TARGET_LANG).sum()),
+            b, tok=pa.string(), c_all=pa.int64(), c_tgt=pa.int64())
 
     def sums(t: pa.Table) -> pa.Table:
         return (t.group_by(["tok"])
                 .aggregate([("c_all", "sum"), ("c_tgt", "sum")])
                 .rename_columns(["tok", "c_all", "c_tgt"]))
 
-    return hash_aggregate_refs(partials, ["tok"], sums, sums)
+    return hash_aggregate_refs(docs, ["tok"], partial, sums)
 
 
 def _dsir_lr_table(counts: pa.Table, tt: int, at: int, v: int) -> pa.Table:
@@ -3176,75 +3103,30 @@ def _dsir_weights(sf_dir: str):
     high look most like the target slice — the data-selection signal.
 
     Two streaming passes (count, score).  Default plan broadcasts the
-    (tok, lr) table (gated, per-worker cached frame); above
-    ``BROADCAST_ROWS`` distinct tokens — counted where the count
-    partitions live, before any fetch — it auto-routes through the
-    distributed-join plan, pinned equal in tests/test_broadcast.py."""
-    import ray
+    (tok, lr) table; above ``BROADCAST_ROWS`` distinct tokens — counted
+    where the count partitions live, before any fetch — lr is computed
+    on the count partitions themselves: it is a pure per-row function
+    of (c_all, c_tgt, totals), with no co-location constraint (unlike
+    the bigram LM's w1 window), and the totals come from O(1) dataset
+    aggregates.  Scoring is :func:`_ngram_mean` either way."""
     import ray.data as rd
 
-    from ..functions.broadcast import (BROADCAST_ROWS, gated_gather,
-                                       worker_cached)
-    from ..functions.text import doc_token_batch
+    from ..functions.broadcast import BROADCAST_ROWS, gated_gather
 
     cnt = _dsir_token_counts(sf_dir)
     counts = gated_gather(cnt, BROADCAST_ROWS)
-    if counts is None:
-        return _dsir_weights_exchange(sf_dir, rd.from_arrow_refs(cnt))
-    tt = int(pc.sum(counts["c_tgt"]).as_py() or 0)
-    at = int(pc.sum(counts["c_all"]).as_py() or 0)
-    ref = ray.put(_dsir_lr_table(counts, tt, at, counts.num_rows))
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-
-    def score(b: pa.Table) -> pa.Table:
-        import polars as pl
-
-        lrf = worker_cached(ref, _polars_frame)
-        pairs = pl.from_arrow(doc_token_batch(b))
-        agg = (pairs.join(lrf, on="tok", how="left")
-               .group_by("doc_id")
-               .agg(slr=pl.col("lr").sum(), n=pl.col("lr").count()))
-        out = (pl.from_arrow(b.select(["doc_id"]))
-               .join(agg, on="doc_id", how="left")
-               .with_columns(n=pl.col("n").fill_null(0)))
-        slr = out["slr"].to_numpy()
-        n = out["n"].to_numpy().astype(np.int64)
-        avg = np.round(np.where(n > 0, slr, 0.0) / np.maximum(n, 1), 4)
-        return pa.table({
-            "doc_id": out["doc_id"].to_arrow().cast(b["doc_id"].type),
-            "dsir_weight": pa.array(avg, pa.float64(), mask=(n == 0)),
-            "n_tokens": pa.array(n, pa.int64())})
-
-    return docs.map_batches(score, batch_format="pyarrow")
-
-
-def _dsir_weights_exchange(sf_dir: str, cnt):
-    """Distributed-join DSIR plan (no broadcast): totals come from O(1)
-    dataset aggregates over the materialized count partitions, lr is a
-    pure per-row function of (c_all, c_tgt, totals) — no co-location
-    constraint (unlike the bigram LM's w1 window) — then the shared
-    doc-mean exchange tail."""
-    import ray.data as rd
-
-    from ..functions.exchange import auto_partitions, exchange_join
-    from ..functions.text import doc_token_batch
-
-    tt = int(cnt.sum("c_tgt") or 0)
-    at = int(cnt.sum("c_all") or 0)
-    v = cnt.count()
-
-    lr = cnt.map_batches(lambda t: _dsir_lr_table(t, tt, at, v),
-                         batch_format="pyarrow")
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    pairs = docs.map_batches(doc_token_batch, batch_format="pyarrow")
-    joined = exchange_join(pairs, lr, "inner", auto_partitions(pairs),
-                           on=["tok"])
-    return _doc_mean_exchange(joined, docs, "lr",
-                              "dsir_weight", "n_tokens")
+    if counts is not None:
+        tt = int(pc.sum(counts["c_tgt"]).as_py() or 0)
+        at = int(pc.sum(counts["c_all"]).as_py() or 0)
+        lr = _dsir_lr_table(counts, tt, at, counts.num_rows)
+    else:
+        cnt = rd.from_arrow_refs(cnt)
+        tt = int(cnt.sum("c_tgt") or 0)
+        at = int(cnt.sum("c_all") or 0)
+        v = cnt.count()
+        lr = cnt.map_batches(lambda t: _dsir_lr_table(t, tt, at, v),
+                             batch_format="pyarrow")
+    return _ngram_mean(sf_dir, 1, "tok", "lr", "dsir_weight", "n_tokens", lr)
 
 
 DSIR_WEIGHTS_SQL = r"""

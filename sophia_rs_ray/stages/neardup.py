@@ -4,7 +4,8 @@ north-rule dedup family; the standard MinHash/LSH construction of
 Broder '97 / MMDS ch.3 — public algorithmic references).
 
 Shape (all wide ops explicit):
-  map_batches(MinHasher actor pool)     — signatures, stateful perms
+  map_batches(minhash_batch)            — signatures, perms cached per
+                                          worker process
   → flat explode to band rows           — (doc_id, band_id, band_hash)
   → groupby(band)                       — THE blocking shuffle
   → capped candidate pairs              — hub/skew guard (pair_cap)
@@ -25,31 +26,19 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.dedup import MinHasher, band_rows
+from ..functions.dedup import band_rows, minhash_batch
 from ..functions.components import connected_components
 from ..util import safe_join
 
 
 def minhash_signatures(docs_ds, *, n_perm: int = 64, k: int = 3,
-                       seed: int = 42, concurrency=None,
-                       batch_size: int = 256):
-    """documents (doc_id, text) → (doc_id, sig).
-
-    Default: a TASK pool over ``minhash_batch`` (params cached per
-    worker process) — per-execution actor spin-up dominates this
-    cheap-setup stage's wall time.  Pass an explicit ``concurrency``
-    to run the MinHasher actor-pool variant instead."""
-    if concurrency is None:
-        from ..functions.dedup import minhash_batch
-
-        return docs_ds.map_batches(
-            lambda b: minhash_batch(b, n_perm=n_perm, k=k, seed=seed),
-            batch_format="pyarrow", batch_size=batch_size)
+                       seed: int = 42, batch_size: int = 256):
+    """documents (doc_id, text) → (doc_id, sig): a TASK pool over
+    ``minhash_batch`` (params cached per worker process) — per-execution
+    actor spin-up would dominate this cheap-setup stage's wall time."""
     return docs_ds.map_batches(
-        MinHasher, fn_constructor_kwargs={"n_perm": n_perm, "k": k,
-                                          "seed": seed},
-        batch_format="pyarrow", concurrency=concurrency,
-        batch_size=batch_size)
+        lambda b: minhash_batch(b, n_perm=n_perm, k=k, seed=seed),
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 def lsh_candidate_pairs(sigs_ds, *, n_bands: int = 16, rows_per_band: int = 4,
@@ -147,18 +136,16 @@ def verify_pairs(pairs_ds, sigs_ds, *, threshold: float = 0.5,
 def near_dup_clusters(docs_ds, *, n_perm: int = 64, k: int = 3,
                       n_bands: int = 16, rows_per_band: int = 4,
                       threshold: float = 0.5, pair_cap: int = 50,
-                      num_partitions: int = 8, concurrency=None,
-                      seed: int = 42):
+                      num_partitions: int = 8, seed: int = 42):
     """documents (doc_id, text) → (doc_id, cluster); cluster = min doc_id
     reachable through verified near-dup edges."""
     ids = docs_ds.map_batches(lambda b: b.select(["doc_id"]),
                               batch_format="pyarrow")
     # signatures are tiny vs the corpus (n_perm × 8 B/doc) and are read
     # THREE times (banding, verify join ×2); materialize once so the
-    # actor pool runs exactly once and frees its CPUs before the join
-    # aggregators start (resource-deadlock guard on small clusters)
-    sigs = minhash_signatures(docs_ds, n_perm=n_perm, k=k, seed=seed,
-                              concurrency=concurrency).materialize()
+    # signature tasks run exactly once
+    sigs = minhash_signatures(docs_ds, n_perm=n_perm, k=k,
+                              seed=seed).materialize()
     # candidate pairs are tiny vs the corpus: materialize to (a) reuse
     # across the verify join + CC rounds and (b) detect the no-pairs case
     # (an empty lazy dataset drops its schema, breaking downstream joins)

@@ -1,8 +1,9 @@
 """Curation operators over a documents table split into several
 Parquet files, so every exchange merges partials from several blocks:
-each result must equal its DuckDB oracle.  Plus the dedup kernel's
-NULL-vs-'' grouping, which the Gopher filter keeps out of the
-end-to-end results."""
+each result must equal its DuckDB oracle — NULL, '', whitespace-only
+and vertical-tab / NBSP texts included, and NULL languages for DSIR.
+Plus the dedup kernel's NULL-vs-'' grouping, which the Gopher filter
+keeps out of the end-to-end results."""
 
 import random
 
@@ -15,7 +16,13 @@ WORDS = ("the of and to in is that it for on with as at by data model "
          "triple store index shard merge").split()
 
 OPS = ("clean_corpus", "quality_filter", "heavy_hitters_cms",
-       "vocab_top_terms", "tfidf_top_terms")
+       "vocab_top_terms", "tfidf_top_terms", "token_counts",
+       "novel_bigrams", "decontaminate_docs", "segment_dedup",
+       "dup_span_docs", "lm_score", "dsir_weights", "vocab_hll",
+       "ngram_jaccard")
+
+#: ``lang`` cycles through these (DSIR's target is "en"; NULL included)
+LANGS = ("en", "de", None, "en", "fr")
 
 N_FILES = 3
 
@@ -36,6 +43,9 @@ def _texts(seed: int):
         texts += [b + " call 5551234567", b + " call 5559876543"]
     texts += [None, None, "", "", "   ", "too short", "spam " * 60,
               " ".join(str(i) for i in range(80))]
+    # \v and NBSP are token characters under RE2's \s, not breaks
+    texts += [base[0].replace(" ", "\v", 3),
+              base[1].replace(" ", "\u00a0", 3)]
     rng.shuffle(texts)
     return texts
 
@@ -57,6 +67,9 @@ def split_docs(tmp_path_factory, ray_session):
             "doc_id": pa.array(range(lo, lo + len(part)), pa.int64()),
             "text": pa.array(part, pa.string()),
             "source": pa.array(["t"] * len(part), pa.string()),
+            "lang": pa.array([LANGS[i % len(LANGS)]
+                              for i in range(lo, lo + len(part))],
+                             pa.string()),
         }), str(path / f"part-{f}.parquet"))
     assert rd.read_parquet(str(path)).materialize().num_blocks() >= N_FILES
     con = duckdb.connect()
@@ -122,3 +135,25 @@ def test_text_groups_keeps_null_apart_from_empty(ray_session):
         "SELECT text_clean, min(doc_id), count(*) FROM t "
         "GROUP BY text_clean").fetchall()
     assert ex_rows == got == sorted(want, key=repr)
+
+
+@pytest.mark.parametrize("sep", ["\v", "\u00a0"], ids=["vt", "nbsp"])
+def test_ngram_jaccard_token_chars_match_oracle(sep, tmp_path, ray_session):
+    """A vertical tab or NBSP joins two words into one token, in the
+    kernel as in the oracle (RE2's \\s excludes both): the two texts
+    share no 3-gram, so their Jaccard is 0.0, not 1.0."""
+    import duckdb
+
+    from sophia_rs_ray.pipelines.queries import registry
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1], pa.int64()),
+        "text": [f"one two three{sep}four five", "one two three four five"],
+    }), str(tmp_path / "documents.parquet"))
+    fn, sql = registry()["ngram_jaccard"]
+    got = pa.Table.from_pylist(fn(str(tmp_path)).take_all())
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+    assert _rows(got) == _rows(con.execute(sql).arrow())
+    assert got["jac"].to_pylist() == [0.0]

@@ -104,14 +104,15 @@ def test_source_mixture_hits_target_proportions(sf_dir, ray_session):
 
 def test_shingle_kernel_matches_python_reference():
     from sophia_rs_ray.functions.text import (
-        SHINGLE_K, shingle_pairs_batch, tokens_of)
+        SHINGLE_K, ngram_batch, tokens_of)
 
     texts = ["a b c d e f g h i j", None, "", "one two", "x " * 40,
              "t u v w x y z a b c",      # NBSP is NOT RE2 \s
              " lead \t tab\nnl " + "w " * 9]
     b = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                   "text": pa.array(texts, pa.string())})
-    got = sorted(zip(*(shingle_pairs_batch(b)[c].to_pylist()
+    sh = ngram_batch(b, SHINGLE_K, "sh", distinct=True)
+    got = sorted(zip(*(sh[c].to_pylist()
                        for c in ("doc_id", "sh"))))
     want = sorted(
         (i, " ".join(tk[j:j + SHINGLE_K]))

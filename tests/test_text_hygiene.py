@@ -5,7 +5,7 @@ PII, so the redaction behavior is exercised here on synthetic strings
 
 import pyarrow as pa
 
-from sophia_rs_ray.functions.text import (bigram_pairs_batch,
+from sophia_rs_ray.functions.text import (ngram_batch,
                                           normalize_batch,
                                           pii_redact_batch)
 
@@ -49,7 +49,8 @@ def test_pii_counts_on_original_text():
 
 
 def test_bigram_pairs_distinct_per_doc():
-    out = bigram_pairs_batch(_docs(["a b a b c", "x", ""]))
+    out = ngram_batch(_docs(["a b a b c", "x", ""]), 2, "bigram",
+                      distinct=True)
     got = sorted(zip(out["doc_id"].to_pylist(),
                      out["bigram"].to_pylist()))
     assert got == [(0, "a b"), (0, "b a"), (0, "b c")]

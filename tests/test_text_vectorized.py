@@ -1,6 +1,8 @@
 """Differential gates: the vectorized text kernels (pyarrow RE2 /
 polars list kernels) must agree ROW-FOR-ROW with the original per-row
-Python forms they replaced (VERDICT r03 item 6).
+Python forms they replaced (VERDICT r03 item 6), and the one token
+path (tokenizer, n-gram builder, token count, and the kernels built on
+them) with ``tokens_of``.
 
 The reference implementations here are the pre-vectorization bodies,
 kept verbatim (Counter / tokens_of loops).  Corpora include the traps
@@ -8,17 +10,22 @@ from earlier rounds: exotic whitespace (RE2's \\s is exactly
 [ \\t\\n\\f\\r] — \\v and U+00A0 are TOKEN chars), nulls, empties,
 unicode, and hot-repetition docs.
 """
+import hashlib
 from collections import Counter
 
 import pyarrow as pa
 import pytest
 
-from sophia_rs_ray.functions.text import (SEGMENT_TOKENS, _LANG_PROFILES,
-                                          _WORD, bigram_pairs_batch,
+from sophia_rs_ray.functions.sketches import HLL_RANK_BITS, hll_partial_batch
+from sophia_rs_ray.functions.text import (SEGMENT_TOKENS, SHINGLE_K,
+                                          _LANG_PROFILES, _WORD,
                                           doc_segment_totals_batch,
-                                          lang_id_batch, quality_batch,
-                                          repetition_batch, segments_batch,
-                                          token_count_batch, tokens_of)
+                                          lang_id_batch, lm_train_batch,
+                                          n_tokens, ngram_batch,
+                                          quality_batch, repetition_batch,
+                                          segments_batch, token_count_batch,
+                                          token_freq_batch, token_lists,
+                                          tokens_of)
 
 CORPUS = [
     "the cat sat on the mat",
@@ -39,6 +46,10 @@ CORPUS = [
     "The OF And TO a IN",                    # case for lang-id
     "😀 😀 emoji 😀 tokens",
     "x" * 3000 + " tail",                    # >2000-char lang-id slice
+    # SHINGLE_K-wide windows across \v / NBSP (token chars, not breaks)
+    "one two three\vfour five six seven eight nine ten",
+    "one two three\u00a0four five six seven eight nine ten",
+    "\t one two three four five six seven eight nine ten \n",
 ]
 
 
@@ -104,6 +115,70 @@ def _ref_bigram_pairs(b):
     return pairs
 
 
+def _ref_ngrams(b, n):
+    """(doc_id, pos, n-gram) per occurrence, in document order."""
+    rows = []
+    for doc_id, text in zip(b["doc_id"].to_pylist(),
+                            b["text"].to_pylist()):
+        ts = tokens_of(text or "")
+        rows += [(doc_id, i, " ".join(ts[i:i + n]))
+                 for i in range(len(ts) - n + 1)]
+    return rows
+
+
+def _ref_hll_partial(b):
+    """bucket → max rank over the batch's distinct tokens (hashlib)."""
+    best = {}
+    for tok in {t for x in b["text"].to_pylist() for t in tokens_of(x or "")}:
+        h = int(hashlib.md5(tok.encode()).hexdigest()[:8], 16)
+        w = h & ((1 << HLL_RANK_BITS) - 1)
+        bucket = h >> HLL_RANK_BITS
+        best[bucket] = max(best.get(bucket, 0),
+                           HLL_RANK_BITS - w.bit_length() + 1)
+    return best
+
+
+def _cols(t, *names):
+    return list(zip(*(t[c].to_pylist() for c in names)))
+
+
+def _check_token_path(b):
+    """Tokenizer, n-gram builder (n ∈ {1, 2, SHINGLE_K}; per
+    occurrence, per-document distinct, with positions), token count
+    and the token kernels built on them, against ``tokens_of``."""
+    texts = b["text"].to_pylist()
+    toks = [tokens_of(t or "") for t in texts]
+    lists = token_lists(b)
+    assert lists["tok"].to_list() == toks
+    assert lists["doc_id"].to_list() == b["doc_id"].to_pylist()
+    assert n_tokens(b).to_pylist() == [len(ts) for ts in toks]
+    for n in (1, 2, SHINGLE_K):
+        ref = _ref_ngrams(b, n)
+        occ = ngram_batch(b, n, "g")
+        assert sorted(_cols(occ, "doc_id", "g")) == \
+            sorted((d, g) for d, _, g in ref)
+        dist = ngram_batch(b, n, "g", distinct=True)
+        assert sorted(_cols(dist, "doc_id", "g")) == \
+            sorted({(d, g) for d, _, g in ref})
+        pos = ngram_batch(b, n, "g", positions=True)
+        assert _cols(pos, "doc_id", "pos", "g") == ref
+        assert pos.schema.names == ["doc_id", "pos", "g"]
+        assert pos.schema.types == [b["doc_id"].type, pa.int64(),
+                                    pa.string()]
+    every = Counter(t for ts in toks for t in ts)
+    freq = token_freq_batch(b)
+    assert dict(_cols(freq, "tok", "c")) == dict(every)
+    assert freq.schema.types == [pa.string(), pa.int64()]
+    lm = lm_train_batch(b)
+    bigrams = Counter(g for _, _, g in _ref_ngrams(b, 2))
+    assert sorted(_cols(lm, "key", "c", "is_tok")) == sorted(
+        [(g, c, False) for g, c in bigrams.items()]
+        + [(t, 1, True) for t in every])
+    assert lm.schema.types == [pa.string(), pa.int64(), pa.bool_()]
+    hll = hll_partial_batch(b)
+    assert dict(_cols(hll, "bucket", "maxrank")) == _ref_hll_partial(b)
+
+
 def _ref_segments(b):
     rows = []
     for doc_id, text in zip(b["doc_id"].to_pylist(),
@@ -152,8 +227,12 @@ def test_lang_id_matches_python():
     assert got == _ref_lang_id(B)
 
 
+def test_token_path_matches_tokens_of():
+    _check_token_path(B)
+
+
 def test_bigram_pairs_match_python():
-    out = bigram_pairs_batch(B)
+    out = ngram_batch(B, 2, "bigram", distinct=True)
     got = set(zip(out["doc_id"].to_pylist(), out["bigram"].to_pylist()))
     assert got == _ref_bigram_pairs(B)
     assert out.num_rows == len(got)          # per-doc DISTINCT
@@ -208,9 +287,10 @@ def test_randomized_differential(seed):
                     out["top_token_count"].to_pylist(),
                     out["top_bigram_count"].to_pylist())) \
         == _ref_repetition(b)
-    got = set(zip(bigram_pairs_batch(b)["doc_id"].to_pylist(),
-                  bigram_pairs_batch(b)["bigram"].to_pylist()))
+    got = set(_cols(ngram_batch(b, 2, "bigram", distinct=True),
+                    "doc_id", "bigram"))
     assert got == _ref_bigram_pairs(b)
+    _check_token_path(b)
     segs = segments_batch(b)
     assert list(zip(segs["doc_id"].to_pylist(),
                     segs["seg_idx"].to_pylist(),
