@@ -30,10 +30,11 @@ _CACHE: dict = {}
 def gated_gather(src, limit: int,
                  count: Callable[[pa.Table], int] = len
                  ) -> Optional[pa.Table]:
-    """``src`` (a Dataset or a list of partition refs) as one driver
-    table when ``count`` summed over its blocks is ≤ ``limit``, else
-    None.  The blocks run once; a caller with a fallback passes a
-    materialized Dataset or refs so the fallback reuses them."""
+    """``src`` (a Dataset, a Parquet source or a list of partition
+    refs) as one driver table when ``count`` summed over its blocks is
+    ≤ ``limit``, else None.  The blocks run once; a caller with a
+    fallback passes a materialized Dataset or refs so the fallback
+    reuses them."""
     from .exchange import _iter_block_refs, gather, map_partitions
 
     refs = list(_iter_block_refs(src))

@@ -15,7 +15,7 @@ bounded fan-in merge tree (:class:`_MergeTree` over
 launches its own reduce per partition:
 
     hash_aggregate_refs   _map_side    → _reduce_side (combine/finalize)
-    exchange_join         _map_side    → _join_reduce (per side)
+    exchange_join_refs    _map_side    → _join_reduce (per side)
     materialize_graph     _split_block → _write_partition (stages/)
     asof_join             _map_side    → _asof_reduce (functions/temporal)
     materialize_ivf       _split_ivf_impl → _write_ivf (functions/ann)
@@ -23,6 +23,17 @@ launches its own reduce per partition:
 Every grouping is a :func:`hash_aggregate`: :func:`grouped` for
 per-key aggregates and DISTINCT, :func:`per_group` for one ``fn`` call
 per group, or a caller's own combine/finalize pair.
+
+:func:`parquet_blocks` is the one raw-task Parquet source: a file or a
+directory read by plain tasks into block refs, split as Ray Data's
+``read_parquet`` splits it, and streamed into :func:`scatter` (or
+:func:`map_blocks`) as the reads are launched.  A plan on it starts no
+Ray Data execution; one that returns a Dataset wraps its result refs
+with ``ray.data.from_arrow_refs`` at the end.  Measured motivation (a
+4-vCPU host, Ray ``num_cpus=2``): one ``read_parquet`` +
+``map_batches`` execution of the 5,000-document bench table costs
+105–135 ms of fixed planning and start-up; a raw read task of the same
+file costs about 10 ms.
 
 The aggregate shape, for example:
 
@@ -40,6 +51,7 @@ contributes at most ``blocks`` rows to its partition.
 
 from __future__ import annotations
 
+import collections
 import os
 import zlib
 from typing import Callable, List, Optional, Sequence
@@ -59,7 +71,8 @@ def auto_partitions(ds, *, bytes_per_partition: int = 32 << 20,
     ~32 MB of source bytes, clamped to [lo, hi].
 
     Lazy Datasets expose no block count before execution, so the
-    estimate comes from ``input_files()`` on-disk sizes — conservative
+    estimate comes from ``input_files()`` on-disk sizes (a
+    :class:`ParquetBlocks` source has them too) — conservative
     for aggregate exchanges because the per-block combiner shrinks
     partials well below input size.  Falls back to ``default`` when the
     input is not file-backed (from_arrow/from_items pipelines)."""
@@ -259,11 +272,12 @@ class _MergeTree:
 
 def _iter_block_refs(src):
     """Yield the input's block ObjectRefs: a list of refs as given, a
-    Dataset's as they materialize (streaming — the driver never pins
-    the full block list; each ref is dropped once its split task holds
-    it).  Falls back to the barrier ``to_arrow_refs()`` on Ray versions
+    :class:`ParquetBlocks` source's as its reads launch, a Dataset's
+    as they materialize (streaming — the driver never pins the full
+    block list; each ref is dropped once its split task holds it).
+    Falls back to the barrier ``to_arrow_refs()`` on Ray versions
     without the streaming ref API."""
-    if isinstance(src, (list, tuple)):
+    if isinstance(src, (list, tuple, ParquetBlocks)):
         yield from src
         return
     try:
@@ -295,6 +309,136 @@ def _remote(fn):
     return r
 
 
+def _read_parquet(path: str, columns, filter, k: int):
+    """A :class:`ParquetBlocks` read task: one file → ``k`` near-equal
+    row slices (the table itself for ``k`` = 1).  Ray's Arrow
+    serializer sends a slice's own rows only, so slicing costs no
+    copy here and no extra bytes in the object store."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=columns, filters=filter)
+    if k == 1:
+        return t
+    n = t.num_rows
+    cuts = [i * n // k for i in range(k + 1)]
+    return tuple(t.slice(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:]))
+
+
+def _parquet_files(path: str) -> List[str]:
+    """``path`` itself, or the files under the directory ``path`` in
+    name order, skipping names that start with '.' or '_' (as Ray Data
+    and Arrow datasets do)."""
+    if not os.path.isdir(path):
+        return [path]
+    out = []
+    for d, dirs, files in os.walk(path):
+        dirs[:] = sorted(x for x in dirs if not x.startswith((".", "_")))
+        out += [os.path.join(d, f) for f in sorted(files)
+                if not f.startswith((".", "_"))]
+    if not out:
+        raise FileNotFoundError(f"no Parquet files under {path}")
+    return out
+
+
+class ParquetBlocks:
+    """A Parquet file or directory as block refs read by raw tasks; see
+    :func:`parquet_blocks`.  Iterating it launches the reads again, so
+    two consumers of one source each read the files once."""
+
+    def __init__(self, path: str, columns=None, filter=None):
+        self.columns = None if columns is None else list(columns)
+        self.filter = filter
+        self.files = _parquet_files(path)
+        self._split = None
+        self._cpus = 1    # the cluster's, set with the splits
+
+    def input_files(self) -> List[str]:
+        return list(self.files)
+
+    def schema(self) -> pa.Schema:
+        import pyarrow.parquet as pq
+
+        sch = pq.read_schema(self.files[0])
+        if self.columns is None:
+            return sch
+        return pa.schema([sch.field(c) for c in self.columns])
+
+    def splits(self) -> List[int]:
+        """Blocks per file, sized as Ray Data's read of the same files:
+        at least twice the cluster's CPUs in all (so every CPU works on
+        the map side), up to ``read_op_min_num_blocks`` for tables
+        larger than that many ``target_min_block_size`` blocks, and no
+        block over ``target_max_block_size``.  The in-memory size is the
+        uncompressed size of the read columns in the footers."""
+        if self._split is None:
+            import ray
+            import pyarrow.parquet as pq
+            from ray.data import DataContext
+
+            ctx = DataContext.get_current()
+            metas = [pq.ParquetFile(f).metadata for f in self.files]
+            mem = sum(_uncompressed_bytes(m, self.columns) for m in metas)
+            self._cpus = int(ray.cluster_resources().get("CPU", 1))
+            par = max(min(ctx.read_op_min_num_blocks,
+                          max(1, mem // ctx.target_min_block_size)),
+                      2 * self._cpus)
+            tmax = ctx.target_max_block_size
+            per_file = max(1, round(mem / len(metas) / tmax)) if tmax else 1
+            est = per_file * len(metas)
+            if est < par:
+                per_file *= -(-par // est)
+            self._split = [max(1, min(per_file, m.num_rows)) for m in metas]
+        return self._split
+
+    def __iter__(self):
+        import ray
+
+        read = _remote(_read_parquet)
+        splits = self.splits()
+        running: collections.deque = collections.deque()
+        for path, k in zip(self.files, splits):
+            if len(running) >= 2 * self._cpus:   # two reads per CPU
+                ray.wait([running.popleft()], fetch_local=False)
+            task = read if k == 1 else read.options(num_returns=k)
+            refs = task.remote(path, self.columns, self.filter, k)
+            refs = [refs] if k == 1 else list(refs)
+            running.append(refs[0])
+            yield from refs
+
+
+def _uncompressed_bytes(meta, columns) -> int:
+    """Uncompressed bytes of ``columns`` (all when None) in a Parquet
+    footer."""
+    total = 0
+    for i in range(meta.num_row_groups):
+        rg = meta.row_group(i)
+        if columns is None:
+            total += rg.total_byte_size
+            continue
+        for j in range(rg.num_columns):
+            c = rg.column(j)
+            if c.path_in_schema.split(".")[0] in columns:
+                total += c.total_uncompressed_size
+    return total
+
+
+def parquet_blocks(path: str, columns: Optional[Sequence[str]] = None,
+                   filter=None) -> ParquetBlocks:
+    """The one raw-task Parquet source: the file or directory ``path``
+    (``columns`` projected, the pyarrow ``filter`` expression pushed
+    down) as a stream of block refs, one read task per file returning
+    its share of :meth:`ParquetBlocks.splits` as row slices.  Pass it
+    where a Dataset would go — :func:`scatter` and every exchange built
+    on it, :func:`map_blocks`, :func:`auto_partitions` (the same count
+    as for the ``read_parquet`` Dataset of ``path``), ``gated_gather``
+    — or wrap ``list(...)`` of it in ``ray.data.from_arrow_refs`` for a
+    plan that goes on with Ray Data operations.  A file without rows is
+    one typed 0-row block.  Reads launch as the consumer takes blocks,
+    at most two per CPU in flight, so a large table streams through
+    the object store instead of landing in it all at once."""
+    return ParquetBlocks(path, columns, filter)
+
+
 def scatter(src, split, args: tuple, num_partitions: int, *,
             fanin: int = 256):
     """The exchange map side: ``split(block, *args)`` once per input
@@ -304,10 +448,10 @@ def scatter(src, split, args: tuple, num_partitions: int, *,
     ``pieces[j]`` is the ≤ fanin·depth piece refs the caller hands its
     reduce task for partition ``j``.
 
-    ``src`` is a Dataset (blocks stream into their split tasks as they
-    materialize, so the exchange overlaps the producing stage instead
-    of waiting behind a ``to_arrow_refs()`` barrier) or a list of
-    block refs.  ``split`` must be a module-level function — Ray
+    ``src`` is a Dataset or a :func:`parquet_blocks` source (blocks
+    stream into their split tasks as they materialize, so the exchange
+    overlaps the producing stage instead of waiting behind a
+    ``to_arrow_refs()`` barrier) or a list of block refs.  ``split`` must be a module-level function — Ray
     rejects ``functools.partial`` as a remote function — and its extra
     arguments travel in ``args``.  Below ``fanin`` blocks the tree is a
     single level and the plan is the direct exchange, task for task."""
@@ -331,10 +475,12 @@ def scatter(src, split, args: tuple, num_partitions: int, *,
 
 
 def _empty_input(src, fetch: bool) -> Optional[pa.Table]:
-    """A 0-row table of the input Dataset's schema; None for a list of
-    block refs or an unknown schema."""
+    """A 0-row table of the input Dataset's or source's schema; None
+    for a list of block refs or an unknown schema."""
     if isinstance(src, (list, tuple)):
         return None
+    if isinstance(src, ParquetBlocks):
+        return src.schema().empty_table()
     sch = src.schema(fetch_if_missing=fetch)
     return None if sch is None else pa.table(
         {n: pa.array([], t) for n, t in zip(sch.names, sch.types)})
@@ -372,8 +518,9 @@ def hash_aggregate_refs(src, key_cols: Sequence[str],
                         *, num_partitions: Optional[int] = None,
                         fanin: int = 256) -> list:
     """Exact per-key aggregation via the raw-task hash exchange over a
-    Dataset or a list of block ObjectRefs → one ObjectRef per hash
-    partition (a ``pa.Table`` each).  Chaining exchanges on these refs,
+    Dataset, a :func:`parquet_blocks` source or a list of block
+    ObjectRefs → one ObjectRef per hash partition (a ``pa.Table``
+    each).  Chaining exchanges on these refs,
     or reading a bounded result with :func:`gather`, skips the fixed
     cost of a Ray Data execution per step.
 
@@ -449,13 +596,21 @@ def _apply(fn, t):
     return fn(t)
 
 
+def map_blocks(src, fn) -> list:
+    """``fn`` over each block of ``src`` (a source, a Dataset or block
+    refs) where it lives, one raw task per block → the result refs: the
+    map-only plan, and the way to derive one exchange's input from
+    another's blocks."""
+    task = _remote(_apply)
+    return [task.remote(fn, r) for r in _iter_block_refs(src)]
+
+
 def map_partitions(refs, fn) -> list:
-    """``fn`` over each partition table where it lives → the (small)
-    results on the driver, e.g. row counts for a broadcast gate."""
+    """:func:`map_blocks` with the (small) results on the driver, e.g.
+    row counts for a broadcast gate."""
     import ray
 
-    task = _remote(_apply)
-    return ray.get([task.remote(fn, r) for r in refs])
+    return ray.get(map_blocks(refs, fn))
 
 
 def grouped(ds, keys: Sequence[str], aggs: Sequence = (), *,
@@ -516,26 +671,30 @@ def _join_reduce(join_type, on, right_on, l_suffix, r_suffix, n_left,
                    use_threads=False)
 
 
-def exchange_join(left_ds, right_ds, join_type: str, num_partitions: int,
-                  *, on, right_on=None, left_suffix=None,
-                  right_suffix=None):
+def exchange_join_refs(left, right, join_type: str, num_partitions: int,
+                       *, on, right_on=None, left_suffix=None,
+                       right_suffix=None, combine=(None, None)) -> list:
     """Hash join via the raw-task exchange: both sides split per block
     by key hash (one object per partition), each partition joined
-    locally with Arrow's Acero join kernel.  Pure tasks — no actor
-    pools to deadlock, no empty-block schema bug, measured faster than
-    Ray's hash-shuffle join operator at bench scale (see BASELINE.md).
+    locally with Arrow's Acero join kernel → one ObjectRef per
+    partition.  Pure tasks — no actor pools to deadlock, no empty-block
+    schema bug, measured faster than Ray's hash-shuffle join operator
+    at bench scale (see BASELINE.md).
 
-    ``join_type``: Acero names — "inner", "left outer", "right outer",
-    "full outer", "left semi", "left anti", …"""
+    ``left`` and ``right`` are Datasets, sources or block refs.
+    ``combine`` holds each side's per-block kernel (None: the blocks as
+    they are), run in its split task.  ``join_type``: Acero names —
+    "inner", "left outer", "right outer", "full outer", "left semi",
+    "left anti", …"""
     import ray
-    import ray.data as rd
 
     on = list(on)
     right_on = list(right_on) if right_on else on
-    l_cols, n_l = scatter(left_ds, _map_side,
-                          (tuple(on), num_partitions, None), num_partitions)
-    r_cols, n_r = scatter(right_ds, _map_side,
-                          (tuple(right_on), num_partitions, None),
+    l_fn, r_fn = combine
+    l_cols, n_l = scatter(left, _map_side,
+                          (tuple(on), num_partitions, l_fn), num_partitions)
+    r_cols, n_r = scatter(right, _map_side,
+                          (tuple(right_on), num_partitions, r_fn),
                           num_partitions)
 
     if not n_l or not n_r:
@@ -543,27 +702,34 @@ def exchange_join(left_ds, right_ds, join_type: str, num_partitions: int,
         # The non-empty side's rows are its exchanged pieces — bounded
         # here because only degenerate (mostly test) inputs take this
         # path.
-        def _whole(ds_side, cols, n_blocks):
+        def _whole(side, cols, n_blocks, fn):
             parts = [] if not n_blocks else \
                 [p for p in ray.get([r for js in cols for r in js])
                  if p is not None]
             if not parts:
-                sch = ds_side.schema()
-                return pa.schema(
-                    [(n, t) for n, t in
-                     zip(sch.names, sch.types)]).empty_table()
+                sch = side.schema()
+                t = pa.schema([(n, t) for n, t in
+                               zip(sch.names, sch.types)]).empty_table()
+                return t if fn is None else fn(t)
             return _concat_mixed(parts)
 
-        lt = _whole(left_ds, l_cols, n_l)
-        rt = _whole(right_ds, r_cols, n_r)
-        return rd.from_arrow(lt.join(
-            rt, keys=on, right_keys=right_on, join_type=join_type,
-            left_suffix=left_suffix, right_suffix=right_suffix,
-            use_threads=False))
+        return [ray.put(_whole(left, l_cols, n_l, l_fn).join(
+            _whole(right, r_cols, n_r, r_fn), keys=on, right_keys=right_on,
+            join_type=join_type, left_suffix=left_suffix,
+            right_suffix=right_suffix, use_threads=False))]
 
     reduce = _remote(_join_reduce)
-    out = [reduce.remote(join_type, tuple(on), tuple(right_on),
-                         left_suffix, right_suffix, len(l_cols[j]),
-                         *l_cols[j], *r_cols[j])
-           for j in range(num_partitions)]
-    return rd.from_arrow_refs(out)
+    return [reduce.remote(join_type, tuple(on), tuple(right_on),
+                          left_suffix, right_suffix, len(l_cols[j]),
+                          *l_cols[j], *r_cols[j])
+            for j in range(num_partitions)]
+
+
+def exchange_join(left_ds, right_ds, join_type: str, num_partitions: int,
+                  **kwargs):
+    """:func:`exchange_join_refs` as a Dataset of the joined
+    partitions."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(exchange_join_refs(
+        left_ds, right_ds, join_type, num_partitions, **kwargs))

@@ -356,23 +356,32 @@ def normalize_batch(b: pa.Table) -> pa.Table:
                      "n_chars_norm": pc.utf8_length(s)})
 
 
+def pii_redact_text(text):
+    """Regex PII scrub of a string array: emails → [EMAIL], then IPv4
+    → [IP], then long digit runs → [NUM].  Vectorized RE2 kernels."""
+    import pyarrow.compute as pc
+
+    s = pc.replace_substring_regex(text, pattern=PII_EMAIL,
+                                   replacement="[EMAIL]")
+    s = pc.replace_substring_regex(s, pattern=PII_IPV4, replacement="[IP]")
+    return pc.replace_substring_regex(s, pattern=PII_NUM,
+                                      replacement="[NUM]")
+
+
 def pii_redact_batch(b: pa.Table) -> pa.Table:
-    """Regex PII scrub: emails → [EMAIL], IPv4 → [IP], long digit runs
-    → [NUM].  Counts are taken on the ORIGINAL text per pattern (so
-    they are order-independent); replacements apply sequentially.
-    Vectorized RE2 kernels only."""
+    """:func:`pii_redact_text` with per-category match counts.  Counts
+    are taken on the ORIGINAL text per pattern (so they are
+    order-independent).  They stay on pyarrow's RE2 rather than polars'
+    ``count_matches``: polars treats ``\\d`` and ``\\b`` as Unicode
+    classes, where RE2 and the DuckDB oracle treat them as ASCII."""
     import pyarrow.compute as pc
 
     t = b["text"]
     n_email = pc.count_substring_regex(t, pattern=PII_EMAIL)
     n_ip = pc.count_substring_regex(t, pattern=PII_IPV4)
     n_num = pc.count_substring_regex(t, pattern=PII_NUM)
-    s = pc.replace_substring_regex(t, pattern=PII_EMAIL,
-                                   replacement="[EMAIL]")
-    s = pc.replace_substring_regex(s, pattern=PII_IPV4, replacement="[IP]")
-    s = pc.replace_substring_regex(s, pattern=PII_NUM, replacement="[NUM]")
     return pa.table({
-        "doc_id": b["doc_id"], "redacted": s,
+        "doc_id": b["doc_id"], "redacted": pii_redact_text(t),
         "n_email": pc.cast(n_email, pa.int64()),
         "n_ip": pc.cast(n_ip, pa.int64()),
         "n_num": pc.cast(n_num, pa.int64()),

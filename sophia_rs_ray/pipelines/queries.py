@@ -20,7 +20,6 @@ from ..terms import format_term
 
 from . import relational as R
 from .doc_triples import DC_LANGUAGE, DOC_TRIPLES_SQL, doc_triples
-from ..util import safe_join
 
 Registry = Dict[str, Tuple[Callable, Optional[str]]]
 
@@ -354,13 +353,37 @@ FROM ({DOC_TRIPLES_SQL})
 # training-data ops over documents / embeddings
 # ---------------------------------------------------------------------------
 
+def _docs(sf_dir: str, columns, filter=None):
+    """The documents table as the raw-task Parquet source
+    (``exchange.parquet_blocks``): the one reader of documents.parquet
+    here.  Exchanges, :func:`_map_docs` and the broadcast gates take
+    it as it is."""
+    from ..functions.exchange import parquet_blocks
+
+    return parquet_blocks(f"{sf_dir}/documents.parquet", columns, filter)
+
+
+def _docs_ds(sf_dir: str, columns, filter=None):
+    """:func:`_docs` as a Dataset, for plans that go on with Ray Data
+    operations."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(list(_docs(sf_dir, columns, filter)))
+
+
+def _map_docs(sf_dir: str, columns, fn):
+    """The map-only plan: ``fn`` once per documents block, one raw task
+    each → a Dataset of the results."""
+    import ray.data as rd
+
+    from ..functions.exchange import map_blocks
+
+    return rd.from_arrow_refs(map_blocks(_docs(sf_dir, columns), fn))
+
+
 def _dedup_exact_docs(sf_dir: str):
     """Exact near... exact duplicate grouping by full text content:
     hash-partition on content key, keep min(doc_id) + multiplicity."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
 
     def keyed(b: pa.Table) -> pa.Table:
         import hashlib
@@ -381,8 +404,8 @@ def _dedup_exact_docs(sf_dir: str):
         return _merge(t).rename_columns(["k", "rep_id", "n_dups"]) \
             .select(["rep_id", "n_dups"])
 
-    return hash_aggregate(ds.map_batches(keyed, batch_format="pyarrow"),
-                          ["k"], _merge, _final)
+    return hash_aggregate(_docs(sf_dir, ["doc_id", "text"]), ["k"], keyed,
+                          _final)
 
 
 DEDUP_EXACT_SQL = """
@@ -392,13 +415,9 @@ FROM documents GROUP BY coalesce(text, '')
 
 
 def _token_counts(sf_dir: str):
-    import ray.data as rd
-
     from ..functions.text import token_count_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return ds.map_batches(token_count_batch, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"], token_count_batch)
 
 
 TOKEN_COUNTS_SQL = r"""
@@ -410,13 +429,9 @@ FROM documents
 
 
 def _quality(sf_dir: str):
-    import ray.data as rd
-
     from ..functions.text import quality_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return ds.map_batches(quality_batch, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"], quality_batch)
 
 
 QUALITY_SQL = r"""
@@ -438,16 +453,11 @@ def _winnow_fingerprints(sf_dir: str):
     """Winnowing document fingerprints (rolling k-gram hash + rightmost
     window minimum; Schleimer et al. SIGMOD'03) — the guarantee-bearing
     fingerprint family of the dedup suite (any shared substring of
-    length >= k+w-1 shares a fingerprint).  Stateless vectorized
-    map_batches; md5 gram hashes reproduce exactly in the SQL oracle."""
-    import ray.data as rd
-
+    length >= k+w-1 shares a fingerprint).  Stateless vectorized map
+    per block; md5 gram hashes reproduce exactly in the SQL oracle."""
     from ..functions.text import winnow_fingerprints_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return ds.map_batches(winnow_fingerprints_batch,
-                          batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"], winnow_fingerprints_batch)
 
 
 WINNOW_SQL = """
@@ -479,13 +489,9 @@ SELECT DISTINCT doc_id, pos, fp FROM sel
 
 
 def _repetition(sf_dir: str):
-    import ray.data as rd
-
     from ..functions.text import repetition_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return ds.map_batches(repetition_batch, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"], repetition_batch)
 
 
 REPETITION_SQL = r"""
@@ -562,13 +568,8 @@ def _gopher_kept(b: pa.Table) -> pa.Table:
 def _quality_filter(sf_dir: str):
     """Composed Gopher-style quality FILTER: one stateless map of
     :func:`_gopher_kept` over the documents → (doc_id, n_tokens)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return ds.map_batches(
-        lambda b: _gopher_kept(b).select(["doc_id", "n_tokens"]),
-        batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"],
+                     lambda b: _gopher_kept(b).select(["doc_id", "n_tokens"]))
 
 
 QUALITY_FILTER_SQL = r"""
@@ -610,13 +611,9 @@ def _normalize_docs(sf_dir: str):
     """Text normalization pass (NFC + lowercase + ws-collapse + trim):
     the hygiene step before any fingerprint/dedup family.  Pure Arrow
     kernels, stateless map — streams at any scale."""
-    import ray.data as rd
-
     from ..functions.text import normalize_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return ds.map_batches(normalize_batch, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"], normalize_batch)
 
 
 NORMALIZE_DOCS_SQL = r"""
@@ -633,13 +630,9 @@ def _pii_redact(sf_dir: str):
     """PII scrub over documents (emails / IPv4 / long digit runs) with
     per-category match counts.  RE2 kernels on both the Ray and the
     DuckDB side, so semantics agree byte-for-byte."""
-    import ray.data as rd
-
     from ..functions.text import pii_redact_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return ds.map_batches(pii_redact_batch, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"], pii_redact_batch)
 
 
 def _pii_sql() -> str:
@@ -661,13 +654,13 @@ FROM documents
 
 
 def _per_doc_sums(rows, docs, zero: dict, finalize=None):
-    """The per-document tail: ``rows`` (doc_id + the columns of
-    ``zero``) and one ``zero`` row per document of ``docs`` summed per
-    doc_id through one exchange, then ``finalize``d — so every document
-    appears, one without rows with the zero sums.  A partition whose
-    blocks all lost their schema (Ray strips it off empty blocks) sums
+    """The per-document tail: ``rows`` (block refs of doc_id + the
+    columns of ``zero``) and one ``zero`` row per document of the
+    source ``docs`` summed per doc_id through one exchange, then
+    ``finalize``d — so every document appears, one without rows with
+    the zero sums.  A partition whose blocks all lost their schema sums
     to the typed empty."""
-    from ..functions.exchange import grouped
+    from ..functions.exchange import auto_partitions, grouped, map_blocks
 
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       **{c: pa.array([v])[:0] for c, v in zero.items()}})
@@ -681,9 +674,9 @@ def _per_doc_sums(rows, docs, zero: dict, finalize=None):
             t = empty
         return t if finalize is None else finalize(t)
 
-    return grouped(rows.union(docs.map_batches(zeros,
-                                               batch_format="pyarrow")),
-                   ["doc_id"], [(c, "sum") for c in zero], finalize=fin)
+    return grouped(list(rows) + map_blocks(docs, zeros), ["doc_id"],
+                   [(c, "sum") for c in zero], finalize=fin,
+                   num_partitions=auto_partitions(docs))
 
 
 def _novel_bigrams(sf_dir: str):
@@ -692,27 +685,21 @@ def _novel_bigrams(sf_dir: str):
     and dedup triage.  Plan: per-doc distinct (bigram, doc_id) pairs →
     hash exchange on the bigram (per-bigram doc counts, keep
     singletons) → the per-document tail (:func:`_per_doc_sums`)."""
-    import ray.data as rd
-
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import hash_aggregate_refs
     from ..functions.text import ngram_batch
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    pairs = docs.map_batches(ngram_batch, batch_format="pyarrow",
-                             fn_kwargs={"n": 2, "name": "bigram",
-                                        "distinct": True})
+    docs = _docs(sf_dir, ["doc_id", "text"])
 
-    # pairs are globally distinct (distinct-per-doc, doc in one batch).
+    # pairs are globally distinct (distinct-per-doc, doc in one block).
     # Block-level cap combiner (segment_dedup's trick): a bigram seen
     # in >=2 docs within one block is globally non-novel either way, so
     # within-block copies beyond the 2nd carry no information — cap at
     # 2 rows per bigram per block.  A corpus-common bigram then costs
     # <=2 rows per block on the wire instead of one row per containing
     # document.
-    def cap_pairs(t: pa.Table) -> pa.Table:
+    def cap_pairs(b: pa.Table) -> pa.Table:
         import polars as pl
-        df = pl.from_arrow(t)
+        df = pl.from_arrow(ngram_batch(b, 2, "bigram", distinct=True))
         return df.filter(
             pl.int_range(pl.len()).over("bigram") < 2).to_arrow()
 
@@ -725,7 +712,7 @@ def _novel_bigrams(sf_dir: str):
                          "novel_bigrams": pa.array([1] * f.num_rows,
                                                    pa.int64())})
 
-    singles = hash_aggregate(pairs, ["bigram"], cap_pairs, per_bigram)
+    singles = hash_aggregate_refs(docs, ["bigram"], cap_pairs, per_bigram)
     return _per_doc_sums(singles, docs, {"novel_bigrams": 0})
 
 
@@ -759,14 +746,12 @@ LEFT JOIN (SELECT doc_id, count(*) AS c FROM singles GROUP BY 1) n
 DECONTAM_BENCH_MAX_ID = 10
 
 
-def _shingle_pairs(docs):
+def _shingle_pairs(b: pa.Table) -> pa.Table:
     """(doc_id, sh) per-document distinct ``SHINGLE_K``-token
-    shingles."""
+    shingles of a (doc_id, text) block."""
     from ..functions.text import SHINGLE_K, ngram_batch
 
-    return docs.map_batches(ngram_batch, batch_format="pyarrow",
-                            fn_kwargs={"n": SHINGLE_K, "name": "sh",
-                                       "distinct": True})
+    return ngram_batch(b, SHINGLE_K, "sh", distinct=True)
 
 
 def _bench_shingles(bench: pa.Table):
@@ -805,18 +790,16 @@ def _decontaminate(sf_dir: str):
     pinned in tests/test_broadcast.py).  Either way the per-document
     tail adds a zero row per corpus document."""
     import ray
-    import ray.data as rd
 
     from ..functions.broadcast import (BROADCAST_ROWS, gated_gather,
                                        worker_cached)
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import hash_aggregate_refs, map_blocks
 
-    path = f"{sf_dir}/documents.parquet"
-    bench = gated_gather(_shingle_pairs(rd.read_parquet(
-        path, columns=["doc_id", "text"],
-        filter=pc.field("doc_id") < DECONTAM_BENCH_MAX_ID)), BROADCAST_ROWS)
-    pairs = _shingle_pairs(rd.read_parquet(path,
-                                           columns=["doc_id", "text"]))
+    bench = gated_gather(map_blocks(_docs(
+        sf_dir, ["doc_id", "text"],
+        filter=pc.field("doc_id") < DECONTAM_BENCH_MAX_ID), _shingle_pairs),
+        BROADCAST_ROWS)
+    docs = _docs(sf_dir, ["doc_id", "text"])
     if bench is None:
         def per_sh(t: pa.Table) -> pa.Table:
             if not {"doc_id", "sh"} <= set(t.column_names):
@@ -827,15 +810,13 @@ def _decontaminate(sf_dir: str):
             return _shingle_hits(t, pc.unique(
                 t.filter(pc.less(t["doc_id"], lim))["sh"]))
 
-        hits = hash_aggregate(pairs, ["sh"], None, per_sh)
+        hits = hash_aggregate_refs(docs, ["sh"], _shingle_pairs, per_sh)
     else:
         ref = ray.put(bench)
-        hits = pairs.map_batches(
-            lambda t: _shingle_hits(t, worker_cached(ref, _bench_shingles)),
-            batch_format="pyarrow")
-    corpus = rd.read_parquet(
-        path, columns=["doc_id"],
-        filter=pc.field("doc_id") >= DECONTAM_BENCH_MAX_ID)
+        hits = map_blocks(docs, lambda b: _shingle_hits(
+            _shingle_pairs(b), worker_cached(ref, _bench_shingles)))
+    corpus = _docs(sf_dir, ["doc_id"],
+                   filter=pc.field("doc_id") >= DECONTAM_BENCH_MAX_ID)
     return _per_doc_sums(hits, corpus, {"n_contaminated": 0})
 
 
@@ -884,15 +865,8 @@ def _pack_sequences(sf_dir: str):
     One exchange on source; the cumsum is a vectorized polars window
     inside the partition — same partitioning assumption as
     sessionization (one source's docs fit one partition)."""
-    import ray.data as rd
-
-    import pyarrow.compute as pc
-
     from ..functions.exchange import hash_aggregate
     from ..functions.text import n_tokens
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "source", "text"])
 
     def counted(b: pa.Table) -> pa.Table:
         return pa.table({"doc_id": b["doc_id"], "source": b["source"],
@@ -917,9 +891,8 @@ def _pack_sequences(sf_dir: str):
             "n_tokens": out["n_tokens"].cast(pa.int64()),
             "seq_id": out["seq_id"].cast(pa.int64())})
 
-    return hash_aggregate(
-        docs.map_batches(counted, batch_format="pyarrow"),
-        ["source"], None, finalize)
+    return hash_aggregate(_docs(sf_dir, ["doc_id", "source", "text"]),
+                          ["source"], counted, finalize)
 
 
 PACK_SEQUENCES_SQL = rf"""
@@ -941,13 +914,8 @@ def _source_stats(sf_dir: str):
     domain-level aggregation every crawl-curation pipeline starts
     with.  Per-batch partial aggregate → tiny final exchange; only
     |sources| rows shuffle."""
-    import ray.data as rd
-
     from ..functions.exchange import hash_aggregate
     from ..functions.text import n_tokens
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["source", "n_chars", "text"])
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({"source": b["source"],
@@ -963,7 +931,8 @@ def _source_stats(sf_dir: str):
             .rename_columns(["source", "n_docs", "total_chars",
                              "total_tokens"])
 
-    return hash_aggregate(ds, ["source"], partial, _merge_sources)
+    return hash_aggregate(_docs(sf_dir, ["source", "n_chars", "text"]),
+                          ["source"], partial, _merge_sources)
 
 
 SOURCE_STATS_SQL = r"""
@@ -994,18 +963,15 @@ def _segment_dedup(sf_dir: str):
     block on the wire; the reassembly exchange ships only surviving
     text once.
     """
-    import ray.data as rd
-
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import (hash_aggregate, hash_aggregate_refs,
+                                      map_blocks)
     from ..functions.text import doc_segment_totals_batch, segments_batch
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    segs = docs.map_batches(segments_batch, batch_format="pyarrow")
+    docs = _docs(sf_dir, ["doc_id", "text"])
 
-    def cap_dups(t: pa.Table) -> pa.Table:
+    def cap_dups(b: pa.Table) -> pa.Table:
         import polars as pl
-        df = pl.from_arrow(t)
+        df = pl.from_arrow(segments_batch(b))
         return df.filter(
             pl.int_range(pl.len()).over("seg") < 2).to_arrow()
 
@@ -1014,15 +980,12 @@ def _segment_dedup(sf_dir: str):
         singles = g.filter(
             pc.equal(g["seg_count"], pa.scalar(1, pa.int64())))["seg"]
         mask = pc.is_in(t["seg"], value_set=singles.combine_chunks())
-        return t.filter(mask)
+        kept = t.filter(mask)
+        return kept.append_column(
+            "n_segments", pa.array([-1] * len(kept), pa.int64()))
 
-    kept = hash_aggregate(segs, ["seg"], cap_dups, keep_unique)
-    kept = kept.map_batches(
-        lambda b: b.append_column(
-            "n_segments", pa.array([-1] * len(b), pa.int64())),
-        batch_format="pyarrow")
-    sentinels = docs.map_batches(doc_segment_totals_batch,
-                                 batch_format="pyarrow")
+    kept = hash_aggregate_refs(docs, ["seg"], cap_dups, keep_unique)
+    sentinels = map_blocks(docs, doc_segment_totals_batch)
 
     def assemble(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -1043,8 +1006,7 @@ def _segment_dedup(sf_dir: str):
         return out.select(["doc_id", "clean_text", "n_segments",
                            "n_dup_segments"]).to_arrow()
 
-    return hash_aggregate(kept.union(sentinels), ["doc_id"],
-                          None, assemble)
+    return hash_aggregate(kept + sentinels, ["doc_id"], None, assemble)
 
 
 SEGMENT_DEDUP_SQL = r"""
@@ -1103,16 +1065,8 @@ def _dup_spans(sf_dir: str):
     partition but the per-partition work stays linear (count +
     filter — no pairing), and the islands exchange ships only the
     already-filtered duplicate positions."""
-    import ray.data as rd
-
-    from ..functions.exchange import hash_aggregate
+    from ..functions.exchange import hash_aggregate, hash_aggregate_refs
     from ..functions.text import SHINGLE_K, ngram_batch
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    pos = docs.map_batches(ngram_batch, batch_format="pyarrow",
-                           fn_kwargs={"n": SHINGLE_K, "name": "sh",
-                                      "positions": True})
 
     def keep_dup(t: pa.Table) -> pa.Table:
         g = t.group_by(["sh"]).aggregate([("sh", "count")])
@@ -1121,7 +1075,9 @@ def _dup_spans(sf_dir: str):
         mask = pc.is_in(t["sh"], value_set=dup.combine_chunks())
         return t.filter(mask).drop_columns(["sh"])
 
-    dpos = hash_aggregate(pos, ["sh"], None, keep_dup)
+    dpos = hash_aggregate_refs(
+        _docs(sf_dir, ["doc_id", "text"]), ["sh"],
+        lambda b: ngram_batch(b, SHINGLE_K, "sh", positions=True), keep_dup)
 
     def islands(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -1378,13 +1334,11 @@ def _tfidf_top_terms(sf_dir: str):
       refs → per-doc window rank + top-k.
     Scale: stop-word-hot tokens concentrate rows in one partition but
     the per-partition work is a linear window count, no pairing."""
-    import ray.data as rd
-
-    from ..functions.exchange import hash_aggregate, hash_aggregate_refs
+    from ..functions.exchange import (auto_partitions, hash_aggregate,
+                                      hash_aggregate_refs)
     from ..functions.text import arrow_out, ngram_rows, token_lists
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _docs(sf_dir, ["doc_id", "text"])
 
     def token_tf(b: pa.Table) -> pa.Table:
         tf = ngram_rows(token_lists(b), 1, "tok").group_by(["doc_id", "tok"])
@@ -1411,7 +1365,8 @@ def _tfidf_top_terms(sf_dir: str):
                 .select(["doc_id", "tok", "tf", "df", "rnk"])
                 .to_arrow())
 
-    return hash_aggregate(with_df, ["doc_id"], None, topk)
+    return hash_aggregate(with_df, ["doc_id"], None, topk,
+                          num_partitions=auto_partitions(docs))
 
 
 def _tfidf_sql() -> str:
@@ -1448,8 +1403,6 @@ def _stratified_sample(sf_dir: str):
     oracle byte-exact; the digests are computed by the vectorized
     single-block numpy MD5 (functions/md5np.py) — no per-row Python
     loop (differentially pinned vs hashlib in tests/test_md5np.py)."""
-    import ray.data as rd
-
     from ..functions.md5np import md5_prefix_u32_arrow
 
     def keep(b: pa.Table) -> pa.Table:
@@ -1458,9 +1411,7 @@ def _stratified_sample(sf_dir: str):
         h = md5_prefix_u32_arrow(b["doc_id"]) % np.uint32(100)
         return b.filter(pa.array(h < rate))
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "source", "n_chars"])
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "source", "n_chars"], keep)
 
 
 STRATIFIED_SAMPLE_SQL = """
@@ -1497,10 +1448,9 @@ def _source_mixture(sf_dir: str):
     import ray.data as rd
 
     from ..functions.broadcast import worker_cached
-    from ..functions.exchange import gather, hash_aggregate_refs
+    from ..functions.exchange import gather, hash_aggregate_refs, map_blocks
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "source"])
+    docs = _docs(sf_dir, ["doc_id", "source"])
 
     def part_counts(t: pa.Table) -> pa.Table:
         if "source" not in t.column_names:
@@ -1539,7 +1489,7 @@ def _source_mixture(sf_dir: str):
         lim = lut[idx.to_numpy(zero_copy_only=False).astype(np.int64)]
         return b.filter(pa.array(h < lim))
 
-    return docs.map_batches(keep, batch_format="pyarrow")
+    return rd.from_arrow_refs(map_blocks(docs, keep))
 
 
 SOURCE_MIXTURE_SQL = """
@@ -1614,14 +1564,11 @@ def _vocab_top_terms(sf_dir: str, k: int = 100):
     scale; only |vocab| rows ever shuffle.  Each partition holds its
     tokens' FULL counts, so its local top-k is a superset of its share
     of the global top-k: the driver reads ≤ partitions·k rows."""
-    import ray.data as rd
-
     from ..functions.exchange import gather, hash_aggregate_refs
     from ..functions.text import token_freq_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
     top = _top_tokens(gather(hash_aggregate_refs(
-        ds, ["tok"], token_freq_batch,
+        _docs(sf_dir, ["text"]), ["tok"], token_freq_batch,
         lambda t: _top_tokens(_token_totals(t), k))), k)
     return pa.table({"token": top["tok"], "n": top["c"]})
 
@@ -1860,13 +1807,9 @@ def _embedding_near_dup_lsh(sf_dir: str):
 def _ngram_jaccard(sf_dir: str):
     """3-gram token Jaccard between consecutive doc_ids — the
     verification kernel of near-dup dedup, oracle-checked exactly."""
-    import ray.data as rd
-
     from ..functions.dedup import trigram_jaccard_consecutive
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return trigram_jaccard_consecutive(ds)
+    return trigram_jaccard_consecutive(_docs_ds(sf_dir, ["doc_id", "text"]))
 
 
 NGRAM_JACCARD_SQL = r"""
@@ -1912,13 +1855,9 @@ def _extract_text(sf_dir: str):
 
 
 def _lang_id(sf_dir: str):
-    import ray.data as rd
-
     from ..functions.text import lang_id_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return ds.map_batches(lang_id_batch, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"], lang_id_batch)
 
 
 #: mirrors functions/text.lang_id_batch exactly: distinct lowercased
@@ -1955,29 +1894,22 @@ FROM s
 
 
 def _simhash(sf_dir: str):
-    import ray.data as rd
-
-    from ..functions.text import fingerprint_batch
     from ..functions.dedup import simhash_batch
+    from ..functions.exchange import exchange_join
+    from ..functions.text import fingerprint_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    sh = ds.map_batches(simhash_batch, batch_format="pyarrow")
-    fp = ds.map_batches(fingerprint_batch, batch_format="pyarrow")
-    return safe_join(sh, fp, "inner", 4, on=("doc_id",))
+    docs = _docs(sf_dir, ["doc_id", "text"])
+    return exchange_join(docs, docs, "inner", 4, on=["doc_id"],
+                         combine=(simhash_batch, fingerprint_batch))
 
 
 def _simhash_docs(sf_dir: str):
     """SimHash fingerprints alone (doc_id, simhash), DuckDB-oracled:
     the oracle recomputes the full SimHash in SQL (md5 token hash →
     per-bit votes → majority reconstruction)."""
-    import ray.data as rd
-
     from ..functions.dedup import simhash_batch
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return ds.map_batches(simhash_batch, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"], simhash_batch)
 
 
 SIMHASH_DOCS_SQL = r"""
@@ -2011,13 +1943,10 @@ def _near_dup_clusters(sf_dir: str):
     capped bucket pairs → signature-verified edges → connected-components
     fixpoint → (doc_id, cluster). Pytest oracle: brute-force Jaccard
     union-find (tests/test_neardup.py)."""
-    import ray.data as rd
-
     from ..stages.neardup import near_dup_clusters
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    return near_dup_clusters(ds, num_partitions=4)
+    return near_dup_clusters(_docs_ds(sf_dir, ["doc_id", "text"]),
+                             num_partitions=4)
 
 
 def _c14n_digests(sf_dir: str):
@@ -2168,12 +2097,9 @@ def _gazetteer_mentions(sf_dir: str):
     Longest-match non-overlap semantics are mirrored by the RE2
     alternation in the DuckDB oracle (longest-first alternation ⇒ same
     matches)."""
-    import ray.data as rd
-
     from ..stages.ner import detect_mentions
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = _docs_ds(sf_dir, ["doc_id", "text"])
     gaz = {s: [(f"gaz:{s}", 0.0)] for s in GAZETTEER}
     mentions = detect_mentions(ds, gaz, key_col="doc_id", batch_size=256)
 
@@ -2217,12 +2143,10 @@ def _docs_links(sf_dir: str):
     context (even doc_ids structurally 'contain' the /2 candidates, so
     context beats prior there — 2·in_ctx + prior semantics)."""
     import ray
-    import ray.data as rd
 
     from ..stages.ner import detect_mentions, score_links
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = _docs_ds(sf_dir, ["doc_id", "text"])
     d_ref = ray.put(_LINK_DICT)
     mentions = detect_mentions(ds, d_ref, key_col="doc_id",
                                batch_size=256)
@@ -2358,13 +2282,8 @@ def _url_dedup(sf_dir: str):
     expected canonical form per doc_id in SQL, so a regression in
     ``normalize_url`` (case, port, dot segments, query sort, fragment)
     hash-mismatches."""
-    import ray.data as rd
-
     from ..functions.exchange import hash_aggregate
     from ..functions.url import normalize_url_batch
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"])
 
     def messy(b: pa.Table) -> pa.Table:
         out = []
@@ -2375,10 +2294,8 @@ def _url_dedup(sf_dir: str):
             out.append(f"https://{host}{path}?a=1&b=2")
         return pa.table({"url": pa.array(out, pa.string())})
 
-    ds = docs.map_batches(messy, batch_format="pyarrow") \
-        .map_batches(normalize_url_batch, batch_format="pyarrow")
-
     def partial(b: pa.Table) -> pa.Table:
+        b = normalize_url_batch(messy(b))
         t = pa.table({"url_norm": pc.cast(b["url_norm"], pa.string()),
                       "one": pa.array([1] * b.num_rows, pa.int64())})
         return t.group_by(["url_norm"]).aggregate([("one", "sum")]) \
@@ -2389,7 +2306,8 @@ def _url_dedup(sf_dir: str):
             [("n_variants", "sum")]).rename_columns(
             ["url_norm", "n_variants"])
 
-    return hash_aggregate(ds, ["url_norm"], partial, final)
+    return hash_aggregate(_docs(sf_dir, ["doc_id"]), ["url_norm"], partial,
+                          final)
 
 
 URL_DEDUP_SQL = """
@@ -2407,15 +2325,11 @@ def _video_frame_sample(sf_dir: str):
     channel means.  The closed-form pixel pattern makes the features
     DuckDB-oracled (VIDEO_FRAME_SAMPLE_SQL); a broken decoder or
     stride diverges from the oracle."""
-    import ray.data as rd
-
     from ..stages.multimodal import (PngVideoDecoder, sample_frames,
                                      synth_png_video_batch)
     from ..util import round_away
 
-    ids = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                          columns=["doc_id"])
-    videos = ids.map_batches(synth_png_video_batch, batch_format="pyarrow")
+    videos = _map_docs(sf_dir, ["doc_id"], synth_png_video_batch)
     out = sample_frames(videos, every_sec=0.25,
                         decoder=PngVideoDecoder())
 
@@ -2462,15 +2376,11 @@ def _audio_features(sf_dir: str):
     and amplitude closed-form in the id) → actor-pool chunk-walking
     decode + windowed RMS / zero-crossing features (vectorized numpy).
     DuckDB-oracled via AUDIO_FEATURES_SQL."""
-    import ray.data as rd
-
     from ..stages.multimodal import (WavAudioDecoder, audio_features,
                                      synth_wav_audio_batch)
     from ..util import round_away
 
-    ids = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                          columns=["doc_id"])
-    audio = ids.map_batches(synth_wav_audio_batch, batch_format="pyarrow")
+    audio = _map_docs(sf_dir, ["doc_id"], synth_wav_audio_batch)
     out = audio_features(audio, decoder=WavAudioDecoder())
 
     def rounded(b: pa.Table) -> pa.Table:
@@ -2510,15 +2420,11 @@ def _media_features(sf_dir: str):
     closed-form ramp pattern (pixel = a_c + y + 2x, sizes divisible by
     8) gives exact expected features, so this is DuckDB-oracled
     (MEDIA_FEATURES_SQL) instead of rows-only."""
-    import ray.data as rd
-
     from ..stages.multimodal import (PngImageDecoder, media_features,
                                      synth_png_media_batch)
     from ..util import round_away
 
-    ids = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                          columns=["doc_id"])
-    media = ids.map_batches(synth_png_media_batch, batch_format="pyarrow")
+    media = _map_docs(sf_dir, ["doc_id"], synth_png_media_batch)
     out = media_features(media, decoder=PngImageDecoder())
 
     def flat(b: pa.Table) -> pa.Table:
@@ -2593,13 +2499,7 @@ def _doc_quads(sf_dir: str):
     """doc triples placed into one named graph per document source —
     the graph name is derived inside the batch (no driver-side lookup;
     doc_triples_batch emits 4 groups of n rows, so g tiles ×4)."""
-    import ray.data as rd
-
     from .doc_triples import doc_triples_batch
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "lang", "source",
-                                    "n_chars"])
 
     def to_quads(b: pa.Table) -> pa.Table:
         t = doc_triples_batch(b)
@@ -2607,7 +2507,8 @@ def _doc_quads(sf_dir: str):
               for s in b["source"].to_pylist()] * 4
         return t.append_column("g", pa.array(gs, pa.large_string()))
 
-    return docs.map_batches(to_quads, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text", "lang", "source", "n_chars"],
+                     to_quads)
 
 
 GRAPH_NAMES_SQL = """
@@ -2690,13 +2591,10 @@ def _minhash_bands(sf_dir: str):
     blocking stage of near-dup dedup (SURVEY §2.8).  Oracle-checked:
     md5-based shingle/band hashing is reproduced exactly in SQL
     (the permutation constants are embedded in the query)."""
-    import ray.data as rd
-
     from ..functions.dedup import band_rows
     from ..stages.neardup import minhash_signatures
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = _docs_ds(sf_dir, ["doc_id", "text"])
     # task pool with per-worker cached params (functions/dedup.py):
     # actor-pool spin-up dominated this cheap-setup stage's wall time
     sigs = minhash_signatures(ds, batch_size=256)
@@ -2860,14 +2758,8 @@ def _lm_trained(sf_dir: str):
     bigram-count and vocab-count passes (bench: lm_score 1.28 → one
     fewer docs scan and exchange).  Returns the exchange's partition
     refs."""
-    import ray.data as rd
-
     from ..functions.exchange import hash_aggregate_refs
     from ..functions.text import lm_train_batch
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    partials = docs.map_batches(lm_train_batch, batch_format="pyarrow")
 
     def sum_c(t: pa.Table) -> pa.Table:
         # summing is exact for bigram rows and collapses repeated
@@ -2875,7 +2767,8 @@ def _lm_trained(sf_dir: str):
         return (t.group_by(["key", "is_tok"]).aggregate([("c", "sum")])
                 .rename_columns(["key", "is_tok", "c"]))
 
-    return hash_aggregate_refs(partials, ["key"], sum_c, sum_c)
+    return hash_aggregate_refs(_docs(sf_dir, ["doc_id", "text"]), ["key"],
+                               lm_train_batch, sum_c)
 
 
 def _lm_row_kinds(t: pa.Table):
@@ -2920,20 +2813,21 @@ def _ngram_mean(sf_dir: str, width: int, key: str, val: str, out_col: str,
     occurrences found; a document with none gets a NULL mean and 0).
 
     ``table`` as a driver ``pa.Table`` (under the broadcast gate) is
-    ``ray.put`` once and joined per batch against one polars frame per
-    worker; as a Dataset (the over-gate fallback) it meets the
+    ``ray.put`` once and joined per block against one polars frame per
+    worker; as partition refs (the over-gate fallback) it meets the
     occurrences in a hash join and the per-document tail sums them.
     Plan equality is pinned in tests/test_broadcast.py."""
     import ray
-    import ray.data as rd
 
     from ..functions.broadcast import worker_cached
-    from ..functions.exchange import auto_partitions, exchange_join
+    from ..functions.exchange import (auto_partitions, exchange_join_refs,
+                                      map_blocks)
     from ..functions.text import ngram_batch, ngram_rows, token_lists
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _docs(sf_dir, ["doc_id", "text"])
     if isinstance(table, pa.Table):
+        import ray.data as rd
+
         ref = ray.put(table)
 
         def score(b: pa.Table) -> pa.Table:
@@ -2949,16 +2843,14 @@ def _ngram_mean(sf_dir: str, width: int, key: str, val: str, out_col: str,
                 out["s"].fill_null(0.0).to_numpy(),
                 out["n"].fill_null(0).to_numpy(), out_col, n_col)
 
-        return docs.map_batches(score, batch_format="pyarrow")
+        return rd.from_arrow_refs(map_blocks(docs, score))
 
-    pairs = docs.map_batches(ngram_batch, batch_format="pyarrow",
-                             fn_kwargs={"n": width, "name": key})
-    joined = exchange_join(pairs, table, "inner", auto_partitions(pairs),
-                           on=[key])
-    rows = joined.map_batches(
-        lambda t: pa.table({"doc_id": t["doc_id"], "s": t[val],
-                            "n": np.ones(t.num_rows, np.int64)}),
-        batch_format="pyarrow")
+    joined = exchange_join_refs(
+        docs, table, "inner", auto_partitions(docs), on=[key],
+        combine=(lambda b: ngram_batch(b, width, key), None))
+    rows = map_blocks(joined, lambda t: pa.table({
+        "doc_id": t["doc_id"], "s": t[val],
+        "n": np.ones(t.num_rows, np.int64)}))
     return _per_doc_sums(rows, docs, {"s": 0.0, "n": 0}, lambda g: _mean_cols(
         g["doc_id"], g["s"].to_numpy(zero_copy_only=False),
         g["n"].to_numpy(zero_copy_only=False), out_col, n_col))
@@ -2979,10 +2871,8 @@ def _lm_score(sf_dir: str):
     re-exchanges on its leading token so each partition holds every
     bigram of its w1s (making the c(w1·) window exact) and attaches lp
     there.  Scoring is :func:`_ngram_mean` either way."""
-    import ray.data as rd
-
     from ..functions.broadcast import BROADCAST_ROWS, gated_gather
-    from ..functions.exchange import hash_aggregate, map_partitions
+    from ..functions.exchange import hash_aggregate_refs, map_partitions
 
     def split_bg(t: pa.Table) -> pa.Table:
         f = t.filter(pc.invert(t["is_tok"]))
@@ -3003,10 +2893,9 @@ def _lm_score(sf_dir: str):
         lm = _lm_attach_lp(split_bg(model), _lm_row_kinds(model)[1])
     else:
         v = sum(map_partitions(trained, lambda t: _lm_row_kinds(t)[1]))
-        lm = hash_aggregate(
-            rd.from_arrow_refs(trained).map_batches(add_w1,
-                                                    batch_format="pyarrow"),
-            ["w1"], None, lambda t: _lm_attach_lp(t.drop_columns(["w1"]), v))
+        lm = hash_aggregate_refs(
+            trained, ["w1"], add_w1,
+            lambda t: _lm_attach_lp(t.drop_columns(["w1"]), v))
     return _ngram_mean(sf_dir, 2, "bigram", "lp", "lm_logprob", "n_bigrams",
                        lm)
 
@@ -3053,14 +2942,9 @@ def _dsir_token_counts(sf_dir: str):
     when its document's lang is ``DSIR_TARGET_LANG``, once in ``c_tgt``:
     both the general and the target unigram distributions in ONE
     combiner-first exchange.  Returns the exchange's partition refs."""
-    import ray.data as rd
-
     from ..functions.exchange import hash_aggregate_refs
     from ..functions.text import (DSIR_TARGET_LANG, arrow_out, ngram_rows,
                                   token_lists)
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["text", "lang"])
 
     def partial(b: pa.Table) -> pa.Table:
         import polars as pl
@@ -3077,7 +2961,15 @@ def _dsir_token_counts(sf_dir: str):
                 .aggregate([("c_all", "sum"), ("c_tgt", "sum")])
                 .rename_columns(["tok", "c_all", "c_tgt"]))
 
-    return hash_aggregate_refs(docs, ["tok"], partial, sums)
+    return hash_aggregate_refs(_docs(sf_dir, ["text", "lang"]), ["tok"],
+                               partial, sums)
+
+
+def _dsir_totals(counts: pa.Table):
+    """(Σ c_tgt, Σ c_all, distinct tokens) of (tok, c_all, c_tgt) rows —
+    the DSIR normalizers; they add up over count partitions."""
+    return (int(pc.sum(counts["c_tgt"]).as_py() or 0),
+            int(pc.sum(counts["c_all"]).as_py() or 0), counts.num_rows)
 
 
 def _dsir_lr_table(counts: pa.Table, tt: int, at: int, v: int) -> pa.Table:
@@ -3107,25 +2999,19 @@ def _dsir_weights(sf_dir: str):
     where the count partitions live, before any fetch — lr is computed
     on the count partitions themselves: it is a pure per-row function
     of (c_all, c_tgt, totals), with no co-location constraint (unlike
-    the bigram LM's w1 window), and the totals come from O(1) dataset
-    aggregates.  Scoring is :func:`_ngram_mean` either way."""
-    import ray.data as rd
-
+    the bigram LM's w1 window), and the totals add up from one pass
+    over the count partitions.  Scoring is :func:`_ngram_mean` either
+    way."""
     from ..functions.broadcast import BROADCAST_ROWS, gated_gather
+    from ..functions.exchange import map_blocks, map_partitions
 
     cnt = _dsir_token_counts(sf_dir)
     counts = gated_gather(cnt, BROADCAST_ROWS)
     if counts is not None:
-        tt = int(pc.sum(counts["c_tgt"]).as_py() or 0)
-        at = int(pc.sum(counts["c_all"]).as_py() or 0)
-        lr = _dsir_lr_table(counts, tt, at, counts.num_rows)
+        lr = _dsir_lr_table(counts, *_dsir_totals(counts))
     else:
-        cnt = rd.from_arrow_refs(cnt)
-        tt = int(cnt.sum("c_tgt") or 0)
-        at = int(cnt.sum("c_all") or 0)
-        v = cnt.count()
-        lr = cnt.map_batches(lambda t: _dsir_lr_table(t, tt, at, v),
-                             batch_format="pyarrow")
+        tt, at, v = map(sum, zip(*map_partitions(cnt, _dsir_totals)))
+        lr = map_blocks(cnt, lambda t: _dsir_lr_table(t, tt, at, v))
     return _ngram_mean(sf_dir, 1, "tok", "lr", "dsir_weight", "n_tokens", lr)
 
 
@@ -3173,12 +3059,12 @@ def _text_groups(t: pa.Table) -> pa.Table:
 def _clean_corpus_block(b: pa.Table) -> pa.Table:
     """clean_corpus's per-block partial: Gopher filter → PII redaction
     → equal redacted texts collapsed with their multiplicity."""
-    from ..functions.text import pii_redact_batch
+    from ..functions.text import pii_redact_text
 
-    r = pii_redact_batch(_gopher_kept(b))
+    k = _gopher_kept(b)
     return _text_groups(pa.table({
-        "doc_id": r["doc_id"], "text_clean": r["redacted"],
-        "n_dups": pa.array(np.ones(r.num_rows, np.int64))}))
+        "doc_id": k["doc_id"], "text_clean": pii_redact_text(k["text"]),
+        "n_dups": pa.array(np.ones(k.num_rows, np.int64))}))
 
 
 def _clean_corpus(sf_dir: str):
@@ -3192,14 +3078,10 @@ def _clean_corpus(sf_dir: str):
 
     Output: (doc_id, text_clean, n_dups) — one row per distinct
     surviving text."""
-    import ray.data as rd
-
     from ..functions.exchange import hash_aggregate
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    return hash_aggregate(docs, ["text_clean"], _clean_corpus_block,
-                          _text_groups)
+    return hash_aggregate(_docs(sf_dir, ["doc_id", "text"]), ["text_clean"],
+                          _clean_corpus_block, _text_groups)
 
 
 def _clean_corpus_sql() -> str:
@@ -3232,13 +3114,10 @@ def _vocab_hll(sf_dir: str):
     (md5-derived hashes) and built from exact integer / binary-fraction
     arithmetic, so the DuckDB oracle reproduces the estimate
     bit-for-bit; accuracy-vs-exact gated in tests/test_sketches.py."""
-    import ray.data as rd
-
     from ..functions.exchange import gather, hash_aggregate_refs
     from ..functions.sketches import hll_estimate, hll_partial_batch
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _docs(sf_dir, ["doc_id", "text"])
 
     def merge(t: pa.Table) -> pa.Table:
         return (t.group_by(["bucket"]).aggregate([("maxrank", "max")])
@@ -3318,16 +3197,12 @@ def _heavy_hitters(sf_dir: str):
     (top-K of the partition tops, per-cell SUM of the counters).
     Integer-exact throughout, so the DuckDB oracle bit-compares; the
     CMS ≥ exact overestimate law is gated in tests/test_sketches.py."""
-    import ray.data as rd
-
     from ..functions.exchange import gather, hash_aggregate_refs
     from ..functions.sketches import CMS_TOP_K, cms_lookup
     from ..functions.text import token_freq_batch
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["text"])
-    t = gather(hash_aggregate_refs(docs, ["tok"], token_freq_batch,
-                                   _heavy_hitter_partition))
+    t = gather(hash_aggregate_refs(_docs(sf_dir, ["text"]), ["tok"],
+                                   token_freq_batch, _heavy_hitter_partition))
     is_top = pc.is_valid(t["tok"])
     top = _top_tokens(t.filter(is_top), CMS_TOP_K)
     cells = (t.filter(pc.invert(is_top))
@@ -3383,14 +3258,10 @@ def _chunk_docs(sf_dir: str):
     ceil(max(len−W, 0)/S)+1 chunks of width ``CHUNK_W`` at stride
     ``CHUNK_S`` (empty text → one '' chunk, so the operator is
     count-predictable for downstream packing).  Stateless vectorized
-    ``map_batches`` — embarrassingly parallel, no exchange."""
-    import ray.data as rd
-
+    map per block — embarrassingly parallel, no exchange."""
     from ..functions.text import chunk_docs_batch
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    return docs.map_batches(chunk_docs_batch, batch_format="pyarrow")
+    return _map_docs(sf_dir, ["doc_id", "text"], chunk_docs_batch)
 
 
 def _chunk_docs_sql() -> str:

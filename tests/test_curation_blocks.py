@@ -19,7 +19,7 @@ OPS = ("clean_corpus", "quality_filter", "heavy_hitters_cms",
        "vocab_top_terms", "tfidf_top_terms", "token_counts",
        "novel_bigrams", "decontaminate_docs", "segment_dedup",
        "dup_span_docs", "lm_score", "dsir_weights", "vocab_hll",
-       "ngram_jaccard")
+       "ngram_jaccard", "dedup_exact_docs")
 
 #: ``lang`` cycles through these (DSIR's target is "en"; NULL included)
 LANGS = ("en", "de", None, "en", "fr")

@@ -442,3 +442,76 @@ def test_repeat_calls_reuse_remote_functions(ray_session, monkeypatch):
     assert run().num_rows == first.num_rows == 4
     assert created == []
     assert all(ex._REMOTES[f] is r for f, r in wraps.items())
+
+
+#: the curation operators of the benchmark's ``corpus_curate`` workload
+_CURATION_OPS = ("token_counts", "vocab_top_terms", "tfidf_top_terms",
+                 "novel_bigrams", "lm_score", "dsir_weights",
+                 "heavy_hitters_cms", "clean_corpus", "dedup_exact_docs")
+
+
+def test_queries_read_documents_through_the_source():
+    """``pipelines/queries.py`` reads documents.parquet only through
+    ``exchange.parquet_blocks``: no Ray Data ``read_parquet`` of it."""
+    import sophia_rs_ray
+
+    path = os.path.join(os.path.dirname(sophia_rs_ray.__file__),
+                        "pipelines", "queries.py")
+    with open(path, encoding="utf-8") as fh:
+        src = fh.read()
+    assert re.findall(r"read_parquet\([^)]*documents\.parquet", src) == []
+
+
+def test_curation_plans_start_no_ray_data_execution(ray_session, tmp_path,
+                                                    monkeypatch):
+    """The benchmarked curation operators run on block refs: with
+    ``ray.data.read_parquet`` raising, each still returns its DuckDB
+    oracle's rows, and none starts a Ray Data execution before its
+    result is read."""
+    import duckdb
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+    from test_curation_blocks import LANGS, _texts
+
+    from sophia_rs_ray.pipelines.queries import registry
+
+    texts = _texts(seed=5)
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "source": pa.array(["t"] * len(texts), pa.string()),
+        "lang": pa.array([LANGS[i % len(LANGS)] for i in range(len(texts))],
+                         pa.string()),
+    }), str(tmp_path / "documents.parquet"))
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ray.data.read_parquet called")
+
+    starts = []
+    real = StreamingExecutor.execute
+    monkeypatch.setattr(rd, "read_parquet", refuse)
+    monkeypatch.setattr(StreamingExecutor, "execute",
+                        lambda self, *a, **k: starts.append(1) or
+                        real(self, *a, **k))
+
+    def rows(t: pa.Table):
+        names = sorted(t.column_names)
+        return names, sorted(repr(r) for r in zip(
+            *[t[c].to_pylist() for c in names]))
+
+    reg = registry()
+    for op in _CURATION_OPS:
+        fn, sql = reg[op]
+        res = fn(str(tmp_path))
+        assert starts == [], op
+        got = res if isinstance(res, pa.Table) else \
+            pa.Table.from_pylist(res.take_all())
+        starts.clear()
+        want = con.execute(sql).arrow()
+        assert got.num_rows > 0, op
+        assert rows(got) == rows(want), op
