@@ -1,8 +1,16 @@
-"""Distributed connected components — the shared fixpoint primitive for
-bnode-component discovery (c14n, SURVEY §3.2) and entity-dedup cluster
-assignment (SURVEY §2.8 "union-find via iterated groupby").
+"""Graph fixpoints — the one home of connected components (near-dup
+and entity-dedup clustering, SURVEY §2.8 "union-find via iterated
+groupby") and transitive closure (SPARQL ``+``/``*`` property paths,
+the RDFS ``subClassOf``/``subPropertyOf`` schema).
 
-Algorithm: min-label propagation + per-round pointer doubling.
+Both decide their plan with one broadcast gate
+(``broadcast.gated_gather`` at ``BROADCAST_ROWS`` edges): at or under
+it the edge list comes to the driver once and :func:`union_find` or
+:func:`reach` answers without a shuffle; above it each runs
+distributed rounds on the hash exchange (``grouped`` + ``safe_join``).
+
+Connected components: min-label propagation + per-round pointer
+doubling.
   labels(n) ← min neighbour id (incl. self)
   repeat:  labels(n) ← min(labels(n), min over neighbours m of labels(m))
            labels(n) ← labels(labels(n))        # pointer doubling
@@ -19,14 +27,15 @@ hash-to-min family), so a chain-shaped URL/entity graph converges in
 tests/test_components.py. Hub skew is absorbed by the exchange's
 per-block combine, which sends at most one row per node and block.
 
-For edge sets that fit on the driver (the common case for per-document
-bnode structures: components of a handful of nodes), ``union_find``
-avoids the per-round shuffle entirely.
+Transitive closure: semi-naive rounds Δ' = distinct(Δ ⋈ edges) ∖ P,
+P ∪= Δ', whose first frontier is the whole edge set, or the seed's
+out-edges when one start is fixed (reference ``sparql/src/exec.rs``
+path_or_more).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 import zlib
 
 import pyarrow as pa
@@ -78,6 +87,79 @@ def union_find(edges: Iterable[Tuple[str, str]]) -> Dict[str, str]:
     return {n: find(n) for n in parent}
 
 
+def _pairs(t: pa.Table, a: str, b: str) -> Iterable[Tuple[str, str]]:
+    return zip(t[a].to_pylist(), t[b].to_pylist()) if t.num_rows else ()
+
+
+def reach(edges: Iterable[Tuple[str, str]],
+          starts: Optional[Iterable[str]] = None) -> Dict[str, Set[str]]:
+    """Driver-side closure: start → every node reachable over ≥1 edges
+    (itself only through a cycle), for each node with an out-edge or
+    each of ``starts``."""
+    adj: Dict[str, Set[str]] = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+    out: Dict[str, Set[str]] = {}
+    for start in (adj if starts is None else starts):
+        seen: Set[str] = set()
+        frontier = adj.get(start, set())
+        while frontier:
+            seen |= frontier
+            frontier = {d for a in frontier for d in adj.get(a, ())} - seen
+        out[start] = seen
+    return out
+
+
+def transitive_closure(edges, seed: Optional[str] = None, *,
+                       num_partitions: int = 16, max_rounds: int = 64):
+    """(s, o) edge Dataset → Dataset (s, o) of every pair joined by a
+    path of ≥1 edges; with ``seed``, only the pairs whose s is it."""
+    import ray.data as rd
+
+    from .broadcast import BROADCAST_ROWS, gated_gather
+
+    # one string type: path parts mix string and large_string, and the
+    # gathered blocks must concat and the join keys agree
+    def norm(b: pa.Table) -> pa.Table:
+        return pa.table({"s": pc.cast(b["s"], pa.string()),
+                         "o": pc.cast(b["o"], pa.string())})
+
+    edges = edges.map_batches(norm, batch_format="pyarrow").materialize()
+    small = gated_gather(edges, BROADCAST_ROWS)
+    if small is not None:
+        closed = reach(_pairs(small, "s", "o"),
+                       None if seed is None else [seed])
+        pairs = [(a, d) for a in sorted(closed) for d in sorted(closed[a])]
+        return rd.from_arrow(pa.table({
+            "s": pa.array([a for a, _ in pairs], pa.string()),
+            "o": pa.array([d for _, d in pairs], pa.string())}))
+
+    def rename(ds, s_to: str, o_to: str):
+        return ds.map_batches(lambda b: pa.table({s_to: b["s"],
+                                                  o_to: b["o"]}),
+                              batch_format="pyarrow")
+
+    first = edges if seed is None else edges.map_batches(
+        lambda b: b.filter(pc.equal(b["s"], pa.scalar(seed, pa.string()))),
+        batch_format="pyarrow")
+    paths = delta = grouped(first, ["s", "o"],
+                            num_partitions=num_partitions).materialize()
+    right = rename(edges, "__m", "o").materialize()
+    for _ in range(max_rounds):
+        if delta.count() == 0:  # also a seed without out-edges
+            return paths
+        step = safe_join(rename(delta, "s", "__m"), right, "inner",
+                         num_partitions, on=("__m",))
+        step = grouped(step.select_columns(["s", "o"]), ["s", "o"],
+                       num_partitions=num_partitions)
+        delta = safe_join(step, paths, "left_anti", num_partitions,
+                          on=("s", "o")).materialize()
+        paths = paths.union(delta).materialize()
+    raise RuntimeError(
+        f"transitive_closure did not converge in {max_rounds} rounds "
+        "(path length exceeds it) — raise max_rounds")
+
+
 def connected_components(
     edges_ds,
     *,
@@ -85,7 +167,6 @@ def connected_components(
     dst: str = "dst",
     num_partitions: int = 16,
     max_rounds: int = 50,
-    local_edge_limit: int = 2_000_000,
 ):
     """edges Dataset (undirected; self-loops welcome) → Dataset
     ``(node, component)`` where component = min node id in the component.
@@ -93,6 +174,10 @@ def connected_components(
     Driver-controlled fixpoint: bounded rounds, convergence by
     changed-label count (SURVEY §7.4 "fixpoint loops").
     """
+    import ray.data as rd
+
+    from .broadcast import BROADCAST_ROWS, gated_gather
+
     # symmetrize once: (a,b) ∪ (b,a) ∪ self-loops keep isolated nodes
     def sym(b: pa.Table) -> pa.Table:
         a1 = pc.cast(b[src], pa.string())
@@ -102,21 +187,15 @@ def connected_components(
             "nbr": pa.chunked_array([a2, a1]),
         })
 
-    # materialize the (small) edge and label tables once: every round
-    # re-reads them, and an unbroken lazy lineage would re-execute the
-    # whole upstream per round while stacking shuffle operators
+    # materialize the edge and label tables once: every round re-reads
+    # them, and an unbroken lazy lineage would re-execute the whole
+    # upstream per round while stacking shuffle operators
     edges = edges_ds.map_batches(sym, batch_format="pyarrow").materialize()
-
-    if edges.count() <= local_edge_limit:
-        # adaptive: below the threshold a driver-side union-find beats
-        # paying the per-round join+groupby fixed cost diameter times
-        pairs = []
-        for b in edges.iter_batches(batch_format="pyarrow"):
-            pairs.extend(zip(b["node"].to_pylist(), b["nbr"].to_pylist()))
-        comp = union_find(pairs)
-        import ray.data as rd
-
-        items = sorted(comp.items())
+    small = gated_gather(edges, BROADCAST_ROWS)
+    if small is not None:
+        # a driver-side union-find beats paying the per-round
+        # join+groupby fixed cost diameter times
+        items = sorted(union_find(_pairs(small, "node", "nbr")).items())
         return rd.from_arrow(pa.table({
             "node": pa.array([k for k, _ in items], pa.string()),
             "component": pa.array([v for _, v in items], pa.string())}))

@@ -382,30 +382,22 @@ def _map_docs(sf_dir: str, columns, fn):
 
 
 def _dedup_exact_docs(sf_dir: str):
-    """Exact near... exact duplicate grouping by full text content:
-    hash-partition on content key, keep min(doc_id) + multiplicity."""
-
-    def keyed(b: pa.Table) -> pa.Table:
-        import hashlib
-        keys = [hashlib.sha256((t or "").encode()).hexdigest()
-                for t in b["text"].to_pylist()]
-        t = pa.table({"k": pa.array(keys), "doc_id": b["doc_id"],
-                      "one": pa.array([1] * len(b), pa.int64())})
-        return t.group_by("k").aggregate([("doc_id", "min"), ("one", "sum")])
-
+    """Exact duplicate grouping by full text content: the hash exchange
+    keyed on ``coalesce(text, '')`` itself, so NULL and '' share one
+    group as in the SQL; keep min(doc_id) + multiplicity."""
     from ..functions.exchange import hash_aggregate
 
-    def _merge(t: pa.Table) -> pa.Table:
-        return t.group_by(["k"]).aggregate(
-            [("doc_id_min", "min"), ("one_sum", "sum")]) \
-            .rename_columns(["k", "doc_id_min", "one_sum"])
+    def keyed(b: pa.Table) -> pa.Table:
+        return _text_groups(pa.table({
+            "doc_id": b["doc_id"], "text_clean": pc.fill_null(b["text"], ""),
+            "n_dups": pa.array(np.ones(b.num_rows, np.int64))}))
 
-    def _final(t: pa.Table) -> pa.Table:
-        return _merge(t).rename_columns(["k", "rep_id", "n_dups"]) \
-            .select(["rep_id", "n_dups"])
+    def final(t: pa.Table) -> pa.Table:
+        return _text_groups(t).select(["doc_id", "n_dups"]) \
+            .rename_columns(["rep_id", "n_dups"])
 
-    return hash_aggregate(_docs(sf_dir, ["doc_id", "text"]), ["k"], keyed,
-                          _final)
+    return hash_aggregate(_docs(sf_dir, ["doc_id", "text"]), ["text_clean"],
+                          keyed, final)
 
 
 DEDUP_EXACT_SQL = """

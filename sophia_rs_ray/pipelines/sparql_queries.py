@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..sparql import (
     BGP, Const, Distinct, Extend, Filter, FnCall, Group, LeftJoin, Minus,
-    OrderBy, PathPlus, Project, Slice, Union, Var, evaluate,
+    OrderBy, Project, Slice, Union, Var, evaluate,
 )
 from ..sparql.algebra import Agg
 from ..terms import int_literal, iri, literal
@@ -320,9 +320,9 @@ def _parent_triples(sf_dir: str):
 
 def sparql_path_plus_var(sf_dir: str):
     """``?s ex:parent+ ?o`` with a FREE subject — full transitive
-    closure via semi-naive iteration (driver BFS below the edge limit,
-    distributed Dataset frontiers above; exec.rs path_or_more with both
-    endpoints open)."""
+    closure (``functions.components.transitive_closure``: driver reach
+    at or under the broadcast gate, distributed semi-naive rounds above;
+    exec.rs path_or_more with both endpoints open)."""
     from ..sparql.run import select
 
     q = f"SELECT ?s ?o WHERE {{ ?s <{_PARENT}>+ ?o }}"

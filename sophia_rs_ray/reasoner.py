@@ -38,6 +38,8 @@ from typing import Dict, List, Set, Tuple
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .functions.components import reach
+
 RDF_TYPE_NT = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
 RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 SUBCLASS_NT = f"<{RDFS}subClassOf>"
@@ -48,37 +50,15 @@ RANGE_NT = f"<{RDFS}range>"
 _SCHEMA_PREDS = (SUBCLASS_NT, SUBPROP_NT, DOMAIN_NT, RANGE_NT)
 
 
-def _transitive_close(edges: List[Tuple[str, str]]) -> Dict[str, Set[str]]:
-    """sup[x] = all strict ancestors of x (tiny graphs; driver-side)."""
-    direct: Dict[str, Set[str]] = {}
-    for a, b in edges:
-        direct.setdefault(a, set()).add(b)
-    sup: Dict[str, Set[str]] = {}
-
-    def visit(x: str) -> Set[str]:
-        if x in sup:
-            return sup[x]
-        sup[x] = set()  # cycle guard
-        acc: Set[str] = set()
-        for b in direct.get(x, ()):
-            acc.add(b)
-            acc |= visit(b)
-        sup[x] = acc
-        return acc
-
-    for x in list(direct):
-        visit(x)
-    return {k: v for k, v in sup.items() if v}
-
-
 class RdfsSchema:
     """Closed schema: the broadcastable small side."""
 
     def __init__(self, schema_rows: List[Tuple[str, str, str]]):
         sc = [(s, o) for s, p, o in schema_rows if p == SUBCLASS_NT]
         sp = [(s, o) for s, p, o in schema_rows if p == SUBPROP_NT]
-        self.sup_class = _transitive_close(sc)
-        self.sup_prop = _transitive_close(sp)
+        # on a cycle every member is its own super-class / -property
+        self.sup_class = reach(sc)
+        self.sup_prop = reach(sp)
         self.domain: Dict[str, Set[str]] = {}
         self.range: Dict[str, Set[str]] = {}
         for s, p, o in schema_rows:

@@ -15,13 +15,15 @@ mapping table):
     OrderBy      sort on encoded term-order key     (exec.rs:826-893)
     Slice        LIMIT/OFFSET                       (exec.rs:916-941)
     Group        groupby + aggregate state machine  (aggregate_iter.rs)
-    PathPlus     p+ transitive closure: driver fixpoint of join+dedup
-                 rounds                             (exec.rs:274-482)
+    PathPattern  property paths; p+ / p* closures through
+                 functions.components.transitive_closure
+                                                    (exec.rs:274-482)
 
 Bindings = Dataset with one large_string column per variable (canonical
-NT text; null = unbound).  Algebra nodes are built programmatically (the
-spargebra-equivalent IR); a text front-end is out of scope — the
-reference itself delegates text→algebra to the external spargebra crate.
+NT text; null = unbound).  Algebra nodes are the spargebra-equivalent
+IR: ``sparql/parser.py`` compiles query text into them (the reference
+delegates that step to the external spargebra crate), and callers may
+also build them programmatically.
 
 Scale notes: every join/groupby/sort below is an explicit shuffle whose
 key is the shared-variable tuple; pattern scans push constant positions
@@ -32,12 +34,13 @@ via stages/materialize.triples_matching for bound leading terms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union as U
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.components import transitive_closure
 from ..terms import XSD, XSD_DOUBLE, XSD_INTEGER, Term, format_term
 from ..util import safe_join
 from .expr import (Const, Expr, FnCall, Var, _fmt_decimal, _fmt_double,
@@ -144,29 +147,6 @@ class Group:
 
 
 @dataclass
-class PathPlus:
-    """pred+ closure.  ``seeds`` = fixed subject Terms (bounded frontier
-    loop, emits o_var only); ``seeds=None`` = variable subject — the
-    full closure, emitting (s_var, o_var) pairs (driver BFS per source
-    over the pred-pruned edge list; errors above the local edge limit)."""
-    pred: Term
-    seeds: Optional[Sequence[Term]]
-    s_var: str = "s"
-    o_var: str = "o"
-    max_rounds: int = 32
-
-
-@dataclass
-class PathStar:
-    """pred* — reflexive-transitive: the seeds themselves plus the
-    pred+ closure (exec.rs path_zero + path_or_more)."""
-    pred: Term
-    seeds: Sequence[Term]
-    o_var: str = "o"
-    max_rounds: int = 32
-
-
-@dataclass
 class PathPattern:
     """General property-path pattern ``subject path object`` — negated
     property sets ``!(p|^q)`` and ``+``/``*``/``?`` closures over
@@ -177,10 +157,9 @@ class PathPattern:
     ("seq", [p…]) | ("alt", [p…]) | ("plus", p) | ("star", p) |
     ("opt", p) | ("neg", fwd_iris, inv_iris).
 
-    Closures run as semi-naive fixpoints: driver BFS below
-    ``_PATH_LOCAL_EDGE_LIMIT`` edges (measured ~10× faster per round
-    at bench scale), else distributed rounds of join + exchange-dedup
-    with Dataset frontiers — no per-round driver ``take_all``."""
+    Closures run through ``functions.components.transitive_closure``:
+    one driver reach at or under the broadcast gate, else distributed
+    semi-naive rounds of join + exchange-dedup."""
     subject: TermOrVar
     path: tuple
     object: TermOrVar
@@ -268,9 +247,8 @@ class GraphPattern:
 
 
 Node = U[BGP, Join, LeftJoin, Union, Minus, Filter, Extend, Project,
-         Distinct, OrderBy, Slice, Group, PathPlus, PathStar,
-         PathPattern, Exists, InlineData, GraphPattern, Service,
-         TripleTermPattern]
+         Distinct, OrderBy, Slice, Group, PathPattern, Exists, InlineData,
+         GraphPattern, Service, TripleTermPattern]
 
 
 # ---------------------------------------------------------------------------
@@ -1523,23 +1501,9 @@ def evaluate(node: Node, triples_ds, *, num_partitions: int = 8,
         return _group_by_exchange(child, gv, list(node.aggs),
                                   num_partitions)
 
-    if isinstance(node, PathPlus):
-        return _path_plus(node, triples_ds, num_partitions)
-
     if isinstance(node, PathPattern):
         return _eval_path_pattern(node, triples_ds, num_partitions,
                                   graph_var)
-
-    if isinstance(node, PathStar):
-        import ray.data as rd
-
-        plus = _path_plus(
-            PathPlus(node.pred, node.seeds, o_var=node.o_var,
-                     max_rounds=node.max_rounds),
-            triples_ds, num_partitions)
-        seeds = pa.table({node.o_var: pa.array(
-            sorted({format_term(s) for s in node.seeds}), pa.string())})
-        return _distinct(plus.union(rd.from_arrow(seeds)), num_partitions)
 
     if isinstance(node, Exists):
         (left, lv), (right, rv) = _with_vars(ev(node.left)), \
@@ -1590,45 +1554,6 @@ def _semi_anti(left, right, shared, *, anti: bool, require_overlap: bool,
     if out.schema() is None:
         return _empty_bindings(_cols_of(left))
     return out
-
-
-def _path_plus(node: PathPlus, triples_ds, num_partitions: int):
-    """Transitive closure pred+ from seed subjects: frontier loop of
-    hash joins with per-round dedup (exec.rs:274-482 / path_or_more.rs;
-    same shape as the reasoner fixpoint, SURVEY §2.10)."""
-    import ray.data as rd
-
-    pred_txt = format_term(node.pred)
-    src_ds = triples_ds.scan(p=pred_txt) \
-        if hasattr(triples_ds, "scan") else triples_ds  # pruned POS read
-    edges = src_ds.map_batches(
-        lambda b: (lambda f: pa.table({
-            "src": pc.cast(f["s"], pa.string()),
-            "dst": pc.cast(f["o"], pa.string())}))(
-            b.filter(pc.equal(b["p"], pa.scalar(pred_txt)))),
-        batch_format="pyarrow").materialize()
-
-    pairs = edges.map_batches(
-        lambda b: pa.table({"s": b["src"], "o": b["dst"]}),
-        batch_format="pyarrow").materialize()
-    if node.seeds is None:
-        # variable subject: full closure as (s_var, o_var) pairs —
-        # driver BFS when small, distributed semi-naive otherwise
-        closure = _closure_pairs(pairs, num_partitions, node.max_rounds)
-        return closure.map_batches(
-            lambda b: pa.table({node.s_var: b["s"], node.o_var: b["o"]}),
-            batch_format="pyarrow")
-
-    seeds = sorted({format_term(s) for s in node.seeds})
-    reach = _seeded_closure(pairs, seeds, num_partitions,
-                            node.max_rounds)
-    return reach.map_batches(
-        lambda b: pa.table({node.o_var: b["o"]}), batch_format="pyarrow")
-
-
-#: edge-count threshold below which pred+/pred* closure runs as a
-#: driver-side BFS over the (already pred-pruned) edge list
-_PATH_LOCAL_EDGE_LIMIT = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -1766,123 +1691,10 @@ def _path_pairs(path, triples_ds, num_partitions: int, max_rounds: int):
                 batch_format="pyarrow")
         return cur
     if k == "plus":
-        base = _path_pairs(path[1], triples_ds, num_partitions,
-                           max_rounds).materialize()
-        return _closure_pairs(base, num_partitions, max_rounds)
+        return transitive_closure(
+            _path_pairs(path[1], triples_ds, num_partitions, max_rounds),
+            num_partitions=num_partitions, max_rounds=max_rounds)
     raise ValueError(f"path core cannot contain {k!r}")
-
-
-def _closure_pairs(base, num_partitions: int, max_rounds: int):
-    """Full transitive closure of a (s, o) pair Dataset.  Driver
-    union-of-BFS below the local limit; else distributed semi-naive:
-    Δ' = distinct(Δ ⋈ base) ∖ P, P ∪= Δ' — frontiers stay Datasets,
-    dedup through the hash exchange, anti-join via left_anti."""
-    import ray.data as rd
-
-    n = base.count()
-    if n <= _PATH_LOCAL_EDGE_LIMIT:
-        adj: Dict[str, List[str]] = {}
-        for b in base.iter_batches(batch_format="pyarrow"):
-            for a, d in zip(b["s"].to_pylist(), b["o"].to_pylist()):
-                adj.setdefault(a, []).append(d)
-        s_out: List[str] = []
-        o_out: List[str] = []
-        for start in sorted(adj):
-            seen: set = set()
-            frontier = set(adj[start])
-            while frontier:
-                seen |= frontier
-                frontier = {d for a in frontier
-                            for d in adj.get(a, ())} - seen
-            for d in sorted(seen):
-                s_out.append(start)
-                o_out.append(d)
-        return rd.from_arrow(pa.table({
-            "s": pa.array(s_out, pa.string()),
-            "o": pa.array(o_out, pa.string())}))
-
-    paths = _distinct_on(base, ["s", "o"], num_partitions).materialize()
-    delta = paths
-    for _ in range(max_rounds):
-        left = _rename_pairs(delta, "s", "__m").materialize()
-        right = _rename_pairs(base, "__m", "o").materialize()
-        step = safe_join(left, right, "inner", num_partitions,
-                         on=("__m",)).materialize()
-        if step.schema() is None or step.count() == 0:
-            return paths
-        step = step.map_batches(
-            lambda b: pa.table({"s": b["s"], "o": b["o"]}),
-            batch_format="pyarrow")
-        step = _distinct_on(step, ["s", "o"], num_partitions).materialize()
-        new = safe_join(step, paths, "left_anti", num_partitions,
-                        on=("s", "o")).materialize()
-        if new.schema() is None or new.count() == 0:
-            return paths
-        paths = paths.union(new).materialize()
-        delta = new
-    raise RuntimeError(
-        f"path closure did not converge in {max_rounds} rounds — raise "
-        "max_rounds (component diameter exceeds it)")
-
-
-def _seeded_closure(edges, seed_texts, num_partitions: int,
-                    max_rounds: int):
-    """Reachable set from seed terms over a (s, o) edge Dataset →
-    Dataset("o").  Driver BFS below the local limit, else Dataset
-    frontier rounds (join + dedup + anti-join; no driver take_all)."""
-    import ray.data as rd
-
-    n = edges.count()
-    seeds = set(seed_texts)
-    if n <= _PATH_LOCAL_EDGE_LIMIT:
-        adj: Dict[str, List[str]] = {}
-        for b in edges.iter_batches(batch_format="pyarrow"):
-            for a, d in zip(b["s"].to_pylist(), b["o"].to_pylist()):
-                adj.setdefault(a, []).append(d)
-        reached: set = set()
-        frontier = set(seeds)
-        for _ in range(max_rounds):
-            if not frontier:
-                break
-            nxt = {d for a in frontier for d in adj.get(a, ())}
-            frontier = nxt - reached
-            reached |= nxt
-        else:
-            if frontier:
-                raise RuntimeError(
-                    f"seeded path closure did not converge in "
-                    f"{max_rounds} rounds")
-        return rd.from_arrow(pa.table(
-            {"o": pa.array(sorted(reached), pa.string())}))
-
-    visited = None
-    frontier = rd.from_arrow(pa.table(
-        {"s": pa.array(sorted(seeds), pa.string())}))
-    for _ in range(max_rounds):
-        step = safe_join(frontier, edges, "inner", num_partitions,
-                         on=("s",)).materialize()
-        if step.schema() is None or step.count() == 0:
-            break
-        step = step.map_batches(lambda b: pa.table({"o": b["o"]}),
-                                batch_format="pyarrow")
-        step = _distinct_on(step, ["o"], num_partitions).materialize()
-        if visited is not None:
-            new = safe_join(step, visited, "left_anti", num_partitions,
-                            on=("o",)).materialize()
-            if new.schema() is None or new.count() == 0:
-                break
-            visited = visited.union(new).materialize()
-        else:
-            new = step
-            visited = new
-        frontier = new.map_batches(lambda b: pa.table({"s": b["o"]}),
-                                   batch_format="pyarrow").materialize()
-    else:
-        raise RuntimeError(
-            f"seeded path closure did not converge in {max_rounds} rounds")
-    if visited is None:
-        return rd.from_arrow(pa.table({"o": pa.array([], pa.string())}))
-    return visited
 
 
 def _graph_terms(triples_ds, num_partitions: int):
@@ -1959,10 +1771,10 @@ def _eval_path_pattern(node: PathPattern, triples_ds,
     # ≥1-step contribution
     if core is not None:
         if core[0] == "plus" and not svar:
-            edges = _path_pairs(core[1], triples_ds, num_partitions,
-                                node.max_rounds).materialize()
-            reach = _seeded_closure(edges, [format_term(s)],
-                                    num_partitions, node.max_rounds)
+            reach = transitive_closure(
+                _path_pairs(core[1], triples_ds, num_partitions,
+                            node.max_rounds), format_term(s),
+                num_partitions=num_partitions, max_rounds=node.max_rounds)
             if ovar:
                 results.append(reach.map_batches(
                     lambda b: pa.table({o.name: b["o"]}),
@@ -1976,11 +1788,10 @@ def _eval_path_pattern(node: PathPattern, triples_ds,
                         pa.int64())}),
                     batch_format="pyarrow"))
         elif core[0] == "plus" and not ovar:
-            edges = _path_pairs(("inv", core[1]), triples_ds,
-                                num_partitions,
-                                node.max_rounds).materialize()
-            reach = _seeded_closure(edges, [format_term(o)],
-                                    num_partitions, node.max_rounds)
+            reach = transitive_closure(
+                _path_pairs(("inv", core[1]), triples_ds, num_partitions,
+                            node.max_rounds), format_term(o),
+                num_partitions=num_partitions, max_rounds=node.max_rounds)
             results.append(reach.map_batches(
                 lambda b: pa.table({s.name: b["o"]}),
                 batch_format="pyarrow"))

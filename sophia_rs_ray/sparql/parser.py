@@ -16,8 +16,8 @@ Supported grammar (the operator inventory of SURVEY §2.5-2.9):
   HAVING, ORDER BY ASC/DESC, LIMIT/OFFSET; property paths: ^ / |
   compositions rewritten to joins/unions; `+` `*` `?` over arbitrary
   sub-paths with free endpoints and negated property sets `!(p|^q)`
-  via the general PathPattern evaluator (semi-naive distributed
-  closure); SubSelect `{ SELECT … }` groups (with their own modifiers
+  via the general PathPattern evaluator (one transitive closure,
+  ``functions.components``); SubSelect `{ SELECT … }` groups (with their own modifiers
   and trailing VALUES clause, SPARQL 1.1 §18.2.2.11); DESCRIBE.
 
 Restrictions are explicit errors, not silent misparses.
@@ -36,7 +36,7 @@ from ..terms import (
 from ..ntriples import unescape_string
 from .algebra import (
     Agg, BGP, Distinct, Exists, Extend, Filter, Group, Join, LeftJoin,
-    Minus, Node, OrderBy, PathPlus, PathStar, Project, Slice, Union,
+    Minus, Node, OrderBy, PathPattern, Project, Slice, Union,
 )
 from .expr import Const, Expr, FnCall, Var
 
@@ -678,8 +678,9 @@ class _Parser:
 
     def _compile_path(self, s, path, o) -> Node:
         """Recursive rewriting: ^p swaps endpoints, p1/p2 chains through
-        a fresh variable, p1|p2 unions; +/* stay restricted to the
-        seeded constant-subject PathPlus/PathStar shape."""
+        a fresh variable, p1|p2 unions, p? with one constant endpoint
+        becomes one hop ∪ the endpoint copy; every other ?, +, * and
+        negated set compiles to one ``PathPattern``."""
         kind = path[0]
         if kind == "term":
             return BGP([(s, path[1], o)])
@@ -720,10 +721,8 @@ class _Parser:
             return Distinct(Union(one, zero))
         if kind in ("opt", "plus", "star", "neg"):
             # general evaluation: negated sets and closures over
-            # arbitrary sub-paths with free endpoints (semi-naive
-            # distributed iteration — algebra.PathPattern, parity
-            # target sparql/src/exec.rs:274-482 + path_or_more.rs)
-            from .algebra import PathPattern
+            # arbitrary sub-paths with free endpoints (algebra.PathPattern,
+            # parity target sparql/src/exec.rs:274-482 + path_or_more.rs)
             if _path_has_var(path):
                 raise SparqlParseError(
                     "variable predicates inside +/*/?/! paths are not "

@@ -59,8 +59,39 @@ def _large_parts_in_lineitem(sf_dir, tmp_path):
     return _rows(large_parts_in_lineitem(sf_dir))
 
 
+def _sparql_path_plus_free(sf_dir, tmp_path):
+    """``?s parent+ ?o``: the full transitive closure."""
+    from sophia_rs_ray.pipelines.sparql_queries import sparql_path_plus_var
+
+    return _rows(sparql_path_plus_var(sf_dir))
+
+
+def _sparql_path_star_const(sf_dir, tmp_path):
+    """``<c1> ^parent* ?d``: the closure seeded at a constant subject."""
+    from sophia_rs_ray.pipelines.sparql_queries import (
+        _CUST, _PARENT, _parent_triples)
+    from sophia_rs_ray.sparql import select
+
+    q = f"SELECT ?d WHERE {{ <{_CUST}1> ^<{_PARENT}>* ?d }}"
+    return _rows(select(q, _parent_triples(sf_dir)))
+
+
+def _near_dup_clusters(sf_dir, tmp_path):
+    import ray.data as rd
+
+    from sophia_rs_ray.stages.neardup import near_dup_clusters
+    from test_neardup import make_docs
+
+    ids, texts = make_docs()
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64()),
+                                 "text": texts}))
+    return _rows(near_dup_clusters(ds, threshold=0.5, num_partitions=2))
+
+
 GATED = [_decontaminate, _lm_score, _dsir_weights, _canonicalize_exact,
-         _customers_without_orders, _large_parts_in_lineitem]
+         _customers_without_orders, _large_parts_in_lineitem,
+         _sparql_path_plus_free, _sparql_path_star_const,
+         _near_dup_clusters]
 
 
 @pytest.mark.parametrize("op", GATED, ids=lambda f: f.__name__.lstrip("_"))

@@ -362,6 +362,16 @@ def test_only_scatter_builds_exchanges():
         r"\.groupby\(|map_groups\(|ray\.data\.aggregate") == []
 
 
+def test_one_graph_fixpoint_module():
+    """``functions/components.py`` holds the one transitive closure
+    (SPARQL paths, the RDFS schema) next to connected components, and
+    pulls their edge lists only through ``broadcast.gated_gather``."""
+    assert _offenders(r"PathPlus|PathStar|_transitive_close|"
+                      r"_PATH_LOCAL_EDGE_LIMIT|local_edge_limit") == []
+    assert _offenders(r"iter_batches|take_all",
+                      only=["functions/components.py"]) == []
+
+
 def test_modules_compile_with_warnings_as_errors():
     """No module leans on a deprecated construct such as an invalid
     string escape, which newer Pythons turn into a SyntaxError."""

@@ -118,10 +118,17 @@ def _eval(p, triples, nodes) -> Counter:
     raise AssertionError(k)
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_random_path_matches_bruteforce(seed, ray_session):
+def _triples_ds(triples):
     import ray.data as rd
 
+    return rd.from_arrow(pa.table({
+        "s": pa.array([t[0] for t in triples], pa.large_string()),
+        "p": pa.array([t[1] for t in triples], pa.large_string()),
+        "o": pa.array([t[2] for t in triples], pa.large_string()),
+    }))
+
+
+def _check_free_path(seed):
     from sophia_rs_ray.sparql import select
 
     rng = random.Random(4000 + seed)
@@ -130,12 +137,8 @@ def test_random_path_matches_bruteforce(seed, ray_session):
     path = _gen_path(rng, 2)
     qtext = f"SELECT ?x ?y WHERE {{ ?x {_to_text(path)} ?y }}"
 
-    ds = rd.from_arrow(pa.table({
-        "s": pa.array([t[0] for t in triples], pa.large_string()),
-        "p": pa.array([t[1] for t in triples], pa.large_string()),
-        "o": pa.array([t[2] for t in triples], pa.large_string()),
-    }))
-    got = Counter((r["x"], r["y"]) for r in select(qtext, ds).take_all())
+    got = Counter((r["x"], r["y"])
+                  for r in select(qtext, _triples_ds(triples)).take_all())
     want = _eval(path, triples, nodes)
     assert got == want, (
         f"seed={seed}\npath: {_to_text(path)}\n"
@@ -143,10 +146,7 @@ def test_random_path_matches_bruteforce(seed, ray_session):
         f"missing: {(want - got).most_common(5)}")
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_random_path_const_subject(seed, ray_session):
-    import ray.data as rd
-
+def _check_const_subject_path(seed):
     from sophia_rs_ray.sparql import select
 
     rng = random.Random(5000 + seed)
@@ -156,17 +156,41 @@ def test_random_path_const_subject(seed, ray_session):
     start = rng.choice(nodes)
     qtext = f"SELECT ?y WHERE {{ {start} {_to_text(path)} ?y }}"
 
-    ds = rd.from_arrow(pa.table({
-        "s": pa.array([t[0] for t in triples], pa.large_string()),
-        "p": pa.array([t[1] for t in triples], pa.large_string()),
-        "o": pa.array([t[2] for t in triples], pa.large_string()),
-    }))
-    got = Counter(r["y"] for r in select(qtext, ds).take_all())
+    got = Counter(r["y"]
+                  for r in select(qtext, _triples_ds(triples)).take_all())
     want = Counter()
     for (x, y), c in _eval(path, triples, nodes).items():
         if x == start:
             want[y] += c
     assert got == want, f"seed={seed}\npath: {start} {_to_text(path)}"
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_path_matches_bruteforce(seed, ray_session):
+    _check_free_path(seed)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_path_const_subject(seed, ray_session):
+    _check_const_subject_path(seed)
+
+
+#: seeds whose paths hold a closure (``+`` or ``*``), so the over-gate
+#: plan is really exercised
+_CLOSURE_SEEDS = {"free": [5, 15, 16], "const": [0, 2, 4]}
+
+
+@pytest.mark.parametrize("kind,seed", [(k, s) for k, seeds in
+                                       _CLOSURE_SEEDS.items()
+                                       for s in seeds])
+def test_random_path_over_gate(kind, seed, ray_session, monkeypatch):
+    """``BROADCAST_ROWS = 0`` moves every closure onto its distributed
+    rounds; the rows must still match the brute force."""
+    from sophia_rs_ray.functions import broadcast
+
+    monkeypatch.setattr(broadcast, "BROADCAST_ROWS", 0)
+    {"free": _check_free_path,
+     "const": _check_const_subject_path}[kind](seed)
 
 
 def test_zero_length_path_from_term_not_in_graph(ray_session):

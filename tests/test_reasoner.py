@@ -26,9 +26,17 @@ def _ds(rows, ray_session=None):
 
 def test_schema_closure_handles_cycles():
     schema = RdfsSchema([("<a>", SC, "<b>"), ("<b>", SC, "<c>"),
-                         ("<c>", SC, "<a>")])
-    # cycle: every class reaches the others, no infinite loop
-    assert schema.class_up("<a>") == {"<b>", "<c>", "<a>"}
+                         ("<c>", SC, "<a>"),
+                         ("<p>", SP, "<q>"), ("<q>", SP, "<p>")])
+    # cycle: every member reaches every member, itself included, no
+    # matter which one the closure visits first
+    for c in ("<a>", "<b>", "<c>"):
+        assert schema.class_up(c) == {"<a>", "<b>", "<c>"}, c
+    assert ("<x>", RDF_TYPE_NT, "<b>") in schema.expand_row(
+        "<x>", RDF_TYPE_NT, "<c>")
+    for p in ("<p>", "<q>"):
+        assert schema.sup_prop[p] == {"<p>", "<q>"}, p
+    assert ("<x>", "<p>", "<y>") in schema.expand_row("<x>", "<q>", "<y>")
 
 
 def test_rules_end_to_end(ray_session):

@@ -9,7 +9,7 @@ appear as subjects/objects of other schema triples — which is exactly
 the regime where the one-pass closed-schema expansion IS the fixpoint
 (meta-level schema, e.g. ``subPropertyOf rdfs:domain``, is out of
 scope for the engine's ruleset by design).  Hierarchies are acyclic
-because ``_transitive_close`` computes strict ancestors."""
+here; cyclic ones are pinned in ``test_reasoner.py``."""
 
 import random
 

@@ -33,18 +33,21 @@ def test_rewrite_via_join_matches_broadcast(ray_session):
     assert _rows(bcast) == _rows(joined)
 
 
-def test_connected_components_nonconvergence_raises(ray_session):
+def test_connected_components_nonconvergence_raises(ray_session,
+                                                    monkeypatch):
     import ray.data as rd
+    from sophia_rs_ray.functions import broadcast
     from sophia_rs_ray.functions.components import connected_components
 
     # chain forced onto the distributed path with a round budget
     # smaller than the diameter → must raise, not split silently
+    monkeypatch.setattr(broadcast, "BROADCAST_ROWS", 0)
     edges = rd.from_arrow(pa.table({
         "src": pa.array([f"n{i:02d}" for i in range(11)], pa.string()),
         "dst": pa.array([f"n{i + 1:02d}" for i in range(11)], pa.string()),
     }))
     with pytest.raises(RuntimeError, match="did not converge"):
-        connected_components(edges, local_edge_limit=0, max_rounds=2)
-    out = connected_components(edges, local_edge_limit=0, max_rounds=15)
+        connected_components(edges, max_rounds=2)
+    out = connected_components(edges, max_rounds=15)
     comps = {r["component"] for r in out.take_all()}
     assert comps == {"n00"}

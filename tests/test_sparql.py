@@ -7,7 +7,7 @@ import pytest
 
 from sophia_rs_ray.sparql import (
     BGP, Const, Distinct, Extend, Filter, FnCall, Group, Join, LeftJoin,
-    Minus, OrderBy, PathPlus, Project, Slice, Union, Var, ebv, evaluate,
+    Minus, OrderBy, PathPattern, Project, Slice, Union, Var, ebv, evaluate,
 )
 from sophia_rs_ray.sparql.algebra import Agg
 from sophia_rs_ray.sparql.expr import eval_expr
@@ -266,7 +266,8 @@ def test_group_aggregates(graph):
 
 
 def test_path_plus(graph):
-    q = PathPlus(iri(KNOWS_), [iri("http://d/0")], o_var="o")
+    q = PathPattern(iri("http://d/0"), ("plus", ("term", iri(KNOWS_))),
+                    Var("o"))
     got = sorted(r["o"] for r in evaluate(q, graph).take_all())
     assert got == ["<http://d/1>", "<http://d/2>", "<http://d/3>"]
 
@@ -278,9 +279,8 @@ def test_join_node(graph):
 
 
 def test_path_star_includes_seeds(graph):
-    from sophia_rs_ray.sparql import PathStar
-
-    q = PathStar(iri(KNOWS_), [iri("http://d/2")], o_var="o")
+    q = PathPattern(iri("http://d/2"), ("star", ("term", iri(KNOWS_))),
+                    Var("o"))
     got = sorted(r["o"] for r in evaluate(q, graph).take_all())
     assert got == ["<http://d/2>", "<http://d/3>"]
 
