@@ -2,7 +2,8 @@
 
 North-rule stage (not in the reference — SURVEY.md §2.1 "north-rule-only
 sources"): pulls four things out of a Common-Crawl-style page in ONE pass
-of the stdlib ``html.parser.HTMLParser``:
+over its parser events (the fast tokenizer at the end of this module,
+or the stdlib ``html.parser.HTMLParser`` it falls back to):
 
 1. embedded JSON-LD blocks (``<script type="application/ld+json">``),
 2. microdata items (itemscope/itemtype/itemprop/itemid),
@@ -91,6 +92,9 @@ class PageExtractor(HTMLParser):
         self._rdfa_stack: List[Tuple[int, _RdfaNode]] = []
         self._rdfa_prop_stack: List[Tuple[int, _RdfaNode, str, List[str]]] = []
         self._vocab_stack: List[Tuple[int, str]] = []
+        #: depths of the open elements that carried microdata/RDFa
+        #: trigger attributes, innermost last (see ``_pop_tag``)
+        self._marks: List[int] = []
 
     # -- visible text ---------------------------------------------------
 
@@ -122,12 +126,20 @@ class PageExtractor(HTMLParser):
         if tag in BLOCK_TAGS and self._collect_text:
             self._flush_block()
         if a:  # attr-less tags cannot open microdata/RDFa structure
-            # inline the trigger-attr checks: _start_* are no-ops
-            # without them, and most attred tags carry neither family
+            self._open_structs(tag, a)
+
+    def _open_structs(self, tag: str, a: Dict[str, str]) -> None:
+        """Open the microdata/RDFa structure of the element just pushed
+        (the trigger-attr checks are inlined: _start_* are no-ops
+        without them, and most attred tags carry neither family)."""
+        micro = "itemscope" in a or "itemprop" in a
+        rdfa = "vocab" in a or "typeof" in a or "property" in a
+        if micro or rdfa:
             depth = len(self._tags)
-            if "itemscope" in a or "itemprop" in a:
+            self._marks.append(depth)
+            if micro:
                 self._start_microdata(depth, tag, a)
-            if "vocab" in a or "typeof" in a or "property" in a:
+            if rdfa:
                 self._start_rdfa(depth, tag, a)
 
     def handle_startendtag(self, tag: str, attrs) -> None:
@@ -135,7 +147,6 @@ class PageExtractor(HTMLParser):
         if tag == "br":
             self._flush_block()
             return
-        depth = len(self._tags) + 1
         # void elements can carry itemprop/property via content/href/src
         if "itemprop" in a and self._micro_stack and "itemscope" not in a:
             v = self._micro_value_from_attrs(tag, a)
@@ -152,7 +163,6 @@ class PageExtractor(HTMLParser):
                 v = a.get("href", a.get("src", ""))
                 for p in a["property"].split():
                     node.props.append((p, "iri", v))
-        _ = depth
 
     def handle_endtag(self, tag: str) -> None:
         if tag in VOID_TAGS:
@@ -161,40 +171,34 @@ class PageExtractor(HTMLParser):
         # fast path: well-formed close of the innermost element — skip
         # the O(depth) membership scan of the recovery path below
         if tags and tags[-1] == tag:
-            depth = len(tags)
-            tags.pop()
-            if tag in SKIP_TAGS:
-                self._skip_depth = max(0, self._skip_depth - 1)
-                if tag == "script" and self._in_ldjson:
-                    self.jsonld_blocks.append("".join(self._ld_buf))
-                    self._in_ldjson = False
-            else:
-                if tag in BLOCK_TAGS and self._collect_text:
-                    self._flush_block()
-                if self._micro_stack or self._prop_stack:
-                    self._end_microdata(depth)
-                if self._rdfa_stack or self._rdfa_prop_stack \
-                        or self._vocab_stack:
-                    self._end_rdfa(depth)
+            self._pop_tag()
             return
         # pop back to the matching open tag (tolerate unbalanced HTML)
         if tag not in tags:
             return
         while tags:
-            depth = len(tags)
-            top = tags.pop()
-            if top in SKIP_TAGS:
-                self._skip_depth = max(0, self._skip_depth - 1)
-                if top == "script" and self._in_ldjson:
-                    self.jsonld_blocks.append("".join(self._ld_buf))
-                    self._in_ldjson = False
-            else:
-                if top in BLOCK_TAGS and self._collect_text:
-                    self._flush_block()
-                self._end_microdata(depth)
-                self._end_rdfa(depth)
-            if top == tag:
+            if self._pop_tag() == tag:
                 break
+
+    def _pop_tag(self) -> str:
+        """Close the innermost open element; return its tag."""
+        depth = len(self._tags)
+        tag = self._tags.pop()
+        if tag in SKIP_TAGS:
+            self._skip_depth = max(0, self._skip_depth - 1)
+            if tag == "script" and self._in_ldjson:
+                self.jsonld_blocks.append("".join(self._ld_buf))
+                self._in_ldjson = False
+            return tag
+        if self._collect_text and tag in BLOCK_TAGS:
+            self._flush_block()
+        # only an element that carried microdata/RDFa attributes can
+        # have pushed structure at its depth
+        marks = self._marks
+        if marks and marks[-1] == depth:
+            marks.pop()
+            self._end_structs(depth)
+        return tag
 
     def handle_data(self, data: str) -> None:
         if self._in_ldjson:
@@ -213,18 +217,13 @@ class PageExtractor(HTMLParser):
 
     def close(self) -> None:
         super().close()
-        # flush any unclosed structure
+        self.finish()
+
+    def finish(self) -> None:
+        """End of document: close every open element (flushing any
+        unclosed structure) and the last text block."""
         while self._tags:
-            depth = len(self._tags)
-            top = self._tags.pop()
-            if top in SKIP_TAGS:
-                self._skip_depth = max(0, self._skip_depth - 1)
-                if top == "script" and self._in_ldjson:
-                    self.jsonld_blocks.append("".join(self._ld_buf))
-                    self._in_ldjson = False
-            else:
-                self._end_microdata(depth)
-                self._end_rdfa(depth)
+            self._pop_tag()
         self._flush_block()
 
     # -- microdata ------------------------------------------------------
@@ -264,17 +263,6 @@ class PageExtractor(HTMLParser):
             else:
                 self._prop_stack.append((depth, names, []))
 
-    def _end_microdata(self, depth: int) -> None:
-        if self._micro_stack and self._micro_stack[-1][0] == depth:
-            self._micro_stack.pop()
-        if self._prop_stack and self._prop_stack[-1][0] == depth:
-            _, names, buf = self._prop_stack.pop()
-            value = _WS_RUN.sub(" ", "".join(buf)).strip()
-            if self._micro_stack:
-                item = self._micro_stack[-1][1]
-                for name in names:
-                    item.props.append((name, value))
-
     # -- RDFa Lite ------------------------------------------------------
 
     def _cur_vocab(self) -> Optional[str]:
@@ -308,7 +296,19 @@ class PageExtractor(HTMLParser):
                 for p in a["property"].split():
                     self._rdfa_prop_stack.append((depth, node, p, []))
 
-    def _end_rdfa(self, depth: int) -> None:
+    # -- structure close (both families) -------------------------------
+
+    def _end_structs(self, depth: int) -> None:
+        """Close the microdata/RDFa structure opened at ``depth``."""
+        if self._micro_stack and self._micro_stack[-1][0] == depth:
+            self._micro_stack.pop()
+        if self._prop_stack and self._prop_stack[-1][0] == depth:
+            _, names, buf = self._prop_stack.pop()
+            value = _WS_RUN.sub(" ", "".join(buf)).strip()
+            if self._micro_stack:
+                item = self._micro_stack[-1][1]
+                for name in names:
+                    item.props.append((name, value))
         while self._rdfa_prop_stack and self._rdfa_prop_stack[-1][0] == depth:
             _, node, p, buf = self._rdfa_prop_stack.pop()
             node.props.append((p, "literal", _WS_RUN.sub(" ", "".join(buf)).strip()))
@@ -321,58 +321,68 @@ class PageExtractor(HTMLParser):
 # ---------------------------------------------------------------------------
 # fast tokenizer front end
 # ---------------------------------------------------------------------------
-# The PageExtractor consumes SAX events, so the stdlib parser is
-# replaceable: ``html.parser``'s goahead/parse_starttag is 58% of the
-# flagship extract stage's CPU (profiled at bench scale).  This
-# tokenizer emits the SAME event stream for well-formed and typical
-# malformed HTML (differential-tested against the stdlib parser in
-# tests/test_extract_fast.py); anything it cannot tokenize falls back
-# to the stdlib path per document.
+# PageExtractor consumes SAX events, so the stdlib parser is replaceable.
+# ``_fast_feed`` emits the events ``HTMLParser.feed`` + ``close`` emit
+# (convert_charrefs=True; the Python 3.11 tokenizer rules, quoted below
+# as "stdlib") without their per-token Python dispatch and line
+# counting.  Start tags are taken in a strict grammar whose stdlib parse
+# is known: space-separated attributes, values quoted or bare, optional
+# ``/`` right before ``>``.  Any other ``<letter`` (an attribute glued
+# to a quote, ``a==b``, an unterminated tag) and every ``<![`` section
+# raise ``_Fallback``, and ``extract_page`` parses that document again
+# with the stdlib parser.  End tags, comments, declarations,
+# processing instructions, script/style bodies and unterminated
+# constructs follow the stdlib rules exactly.  The output equals the
+# stdlib front end's on every document (differential and seeded fuzz
+# tests in tests/test_extract_fast.py); on the synthetic corpus no
+# document falls back.
+
+
+class _Fallback(Exception):
+    """Markup outside the fast grammar: parse the page with the stdlib."""
+
 
 #: html.parser's CDATA_CONTENT_ELEMENTS — stdlib does NOT raw-text
-#: textarea/title, so neither do we (differential parity)
+#: textarea/title, so neither do we
 _RAWTEXT_TAGS = frozenset(("script", "style"))
-_START_RE = re.compile(
-    r"<([a-zA-Z][^\t\n\r\f />\x00]*)"                  # tag name
-    r"((?:[^>\"']|\"[^\"]*\"|'[^']*')*?)"              # attr soup
-    r"(/?)>", re.S)
-_END_RE = re.compile(r"</([a-zA-Z][^\t\n\r\f />\x00]*)[^>]*>", re.S)
+_ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz"
+                           "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+#: one match per tag: an end tag (stdlib ``endtagfind``) or a start tag
+#: in the strict grammar (stdlib tag name, then whitespace-separated
+#: attributes with a quoted or bare value, optional '/' before '>')
+_TAG_RE = re.compile(
+    r"<(?:/\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>"          # end tag
+    r"|([a-zA-Z][^\t\n\r\f />\x00]*+)"                # start tag name
+    r"((?:\s++[^\s/>\"'=]++"                           # attribute name
+    r"(?:\s*+=\s*+(?:\"[^\"]*+\"|'[^']*+'"             # quoted value
+    r"|[^\s\"'=>][^\s\"'>]*+)?+)?+)*+)"                # bare value
+    r"\s*+(/?)>)")
 _ATTR_RE = re.compile(
-    r"""([^\s/>=]+)(?:\s*=\s*("[^"]*"|'[^']*'|[^\s>]*))?""", re.S)
-_RAW_END: Dict[str, "re.Pattern[str]"] = {}
+    r"([^\s/>\"'=]+)(?:\s*(=)\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s\"'>]*)))?")
+#: stdlib ``tagfind_tolerant`` / ``commentclose``
+_TAG_NAME = re.compile(r"[a-zA-Z][^\t\n\r\f />\x00]*")
+_COMMENT_END = re.compile(r"--\s*>")
+#: stdlib ``set_cdata_mode``: a raw-text body ends only at this tag
+_RAW_END = {t: re.compile(rf"</\s*{t}\s*>", re.I) for t in _RAWTEXT_TAGS}
 
 
-def _raw_end(tag: str):
-    rx = _RAW_END.get(tag)
-    if rx is None:
-        rx = re.compile(rf"</\s*{tag}[^>]*>", re.I)
-        _RAW_END[tag] = rx
-    return rx
-
-
-def _parse_attrs(src: str):
-    out = []
-    for m in _ATTR_RE.finditer(src):
-        name = m.group(1).lower()
-        if name == "/":
-            continue
-        v = m.group(2)
-        if v is None:
-            out.append((name, None))
-            continue
-        if v[:1] in ('"', "'") and v[-1:] == v[:1]:
-            v = v[1:-1]
-        if "&" in v:
-            v = unescape(v)
-        out.append((name, v))
-    return out
+def _parse_attrs(soup: str) -> dict:
+    """Attrs of a strict-grammar soup as a dict (last occurrence wins,
+    as the handlers' own ``dict(attrs)`` over the stdlib list)."""
+    a = {name.lower(): (dq or sq or bare) if eq else None
+         for name, eq, dq, sq, bare in _ATTR_RE.findall(soup)}
+    if "&" in soup:
+        for k, v in a.items():
+            if v and "&" in v:
+                a[k] = unescape(v)
+    return a
 
 
 #: extraction only consults these attribute names (script's ``type``,
 #: microdata item*, RDFa Lite, and the literal-bearing value attrs) —
 #: an attr soup with no marker substring cannot change the output, so
-#: the tokenizer may skip parsing it entirely (values that merely
-#: contain a marker false-positive into the slow path, which is safe)
+#: the tokenizer skips parsing it (values that merely contain a marker
+#: are parsed for nothing, which is safe)
 _RELEVANT_ATTRS = re.compile(
     r"item|prop|typ|vocab|about|resour|content|href|src|datetime", re.I)
 _NO_ATTRS: dict = {}
@@ -380,20 +390,19 @@ _ATTR_CACHE: Dict[str, dict] = {}
 
 
 def _attrs_of(soup: str) -> dict:
-    """Parsed attrs as a dict (last occurrence wins, same as the
-    handlers' own ``dict(attrs)`` over the stdlib event list).
+    """Parsed attrs as a dict; ``_NO_ATTRS`` when no relevant name.
 
-    IMMUTABILITY CONTRACT (ADVICE r4): the returned dict is a shared,
-    cached object (``_ATTR_CACHE`` entry or the module-global
-    ``_NO_ATTRS``) handed to every subsequent document in the worker
-    that repeats the same attr soup.  Handlers must treat it as
-    read-only — no ``pop``/``setdefault``/item assignment; a handler
-    that needs to mutate must ``dict(a)`` first."""
+    IMMUTABILITY CONTRACT: the returned dict is a shared, cached object
+    (``_ATTR_CACHE`` entry or the module-global ``_NO_ATTRS``) handed to
+    every later document in the worker that repeats the same attr soup
+    (``itemprop="name"`` recurs on every page of a site).  Handlers
+    must treat it as read-only; one that needs to mutate must
+    ``dict(a)`` first."""
     v = _ATTR_CACHE.get(soup)
     if v is None:
-        v = dict(_parse_attrs(soup)) if _RELEVANT_ATTRS.search(soup) \
+        v = _parse_attrs(soup) if _RELEVANT_ATTRS.search(soup) \
             else _NO_ATTRS
-        if len(_ATTR_CACHE) < 65536:   # templated pages repeat soups
+        if len(_ATTR_CACHE) < 65536:
             _ATTR_CACHE[soup] = v
     return v
 
@@ -403,124 +412,166 @@ def _attrs_of(soup: str) -> dict:
 #: distinct spelling (read-only values; same lifecycle as _ATTR_CACHE)
 _TAG_LOWER: Dict[str, str] = {}
 
-#: start tags needing the FULL handle_starttag even with no relevant
-#: attrs: skip-content elements (script/style/...), voids (redirect to
-#: startendtag), and block tags (text-block flush — only when the
-#: caller collects text; the no-text variant omits them)
-_SPECIAL_START_TEXT = frozenset(SKIP_TAGS | VOID_TAGS | BLOCK_TAGS)
-_SPECIAL_START_NOTEXT = frozenset(SKIP_TAGS | VOID_TAGS)
+#: start tags without relevant attrs that still need handle_starttag:
+#: skip-content elements (script/style/...) and, when the caller
+#: collects text, block tags (text-block flush; ``br`` is one)
+_SPECIAL_START_TEXT = frozenset(SKIP_TAGS | BLOCK_TAGS)
+_SPECIAL_START_NOTEXT = frozenset(SKIP_TAGS)
+
+
+def _lower(raw: str) -> str:
+    tag = _TAG_LOWER.get(raw)
+    if tag is None:
+        if len(_TAG_LOWER) >= 4096:
+            _TAG_LOWER.clear()
+        _TAG_LOWER[raw] = tag = raw.lower()
+    return tag
 
 
 def _fast_feed(h: PageExtractor, text: str) -> None:
     """Emit handle_starttag/startendtag/endtag/data events like
-    ``HTMLParser(convert_charrefs=True).feed`` (charrefs decoded in
-    text and attribute values, NOT inside raw-text elements)."""
+    ``HTMLParser(convert_charrefs=True)`` ``feed`` + ``close`` (charrefs
+    decoded in text and attribute values, not inside raw-text
+    elements); raise ``_Fallback`` outside the fast grammar."""
     pos, n = 0, len(text)
     find = text.find
     handle_data = h.handle_data
     handle_starttag = h.handle_starttag
     handle_endtag = h.handle_endtag
-    start_match = _START_RE.match
-    end_match = _END_RE.match
+    pop_tag = h._pop_tag
+    open_structs = h._open_structs
+    tag_match = _TAG_RE.match
     tag_lower = _TAG_LOWER
-    tags_list = h._tags
-    tags_append = tags_list.append
-    # a start tag with NO marker attrs and none of these names reduces
-    # to exactly ``self._tags.append(tag)`` in handle_starttag (the
-    # micro/RDFa branches are gated on the marker attrs) — inline that
+    tags = h._tags
+    tags_append = tags.append
+    marks = h._marks
+    letters = _ASCII_LETTERS
+    # outside this set a start tag reduces to ``self._tags.append(tag)``
+    # + ``_open_structs`` in handle_starttag (a void tag without
+    # relevant attrs to nothing), and its end tag with no structure at
+    # its depth to ``self._tags.pop()`` — inline both
     special_start = _SPECIAL_START_TEXT if h._collect_text \
         else _SPECIAL_START_NOTEXT
     # a data segment only matters while something consumes it (visible
-    # text collection, an open itemprop/RDFa literal span, or an
-    # ld+json block); otherwise skip the slice + dispatch entirely —
-    # the consumer checks are the same ones handle_data itself makes
+    # text, or an open itemprop/RDFa literal span — ld+json bodies go
+    # through the raw-text branch); otherwise skip the slice + dispatch
     collect = h._collect_text
+    prop_stack = h._prop_stack
+    rdfa_prop_stack = h._rdfa_prop_stack
     while pos < n:
         lt = find("<", pos)
         if lt < 0:
-            if collect or h._in_ldjson or h._prop_stack \
-                    or h._rdfa_prop_stack:
+            if collect or prop_stack or rdfa_prop_stack:
                 data = text[pos:]
                 handle_data(unescape(data) if "&" in data else data)
-            break
-        if lt > pos and (collect or h._in_ldjson or h._prop_stack
-                         or h._rdfa_prop_stack):
+            return
+        if lt > pos and (collect or prop_stack or rdfa_prop_stack):
             data = text[pos:lt]
             handle_data(unescape(data) if "&" in data else data)
-        nxt = text[lt + 1] if lt + 1 < n else ""
-        if nxt == "/":
-            m = end_match(text, lt)
-            if m:
-                handle_endtag(m.group(1).lower())
-                pos = m.end()
-            else:
-                gt = find(">", lt)
-                pos = n if gt < 0 else gt + 1
-        elif nxt.isalpha():
-            m = start_match(text, lt)
-            if not m:
-                handle_data("<")
-                pos = lt + 1
-                continue
-            raw_tag, soup, selfclose = m.group(1, 2, 3)
-            tag = tag_lower.get(raw_tag)
-            if tag is None:
-                if len(tag_lower) >= 4096:
-                    tag_lower.clear()
-                tag_lower[raw_tag] = tag = raw_tag.lower()
-            attrs = _attrs_of(soup) if soup else _NO_ATTRS
+        m = tag_match(text, lt)
+        if m is not None:
+            raw_tag, raw_start, soup, selfclose = m.group(1, 2, 3, 4)
             pos = m.end()
+            if raw_tag is not None:
+                # open tags are lowercase: a close spelled like the top
+                # needs no lowering
+                if tags and tags[-1] == raw_tag:
+                    if raw_tag in special_start or (marks and
+                                                    marks[-1] == len(tags)):
+                        pop_tag()
+                    else:
+                        tags.pop()
+                else:
+                    handle_endtag(tag_lower.get(raw_tag) or _lower(raw_tag))
+                continue
+            tag = tag_lower.get(raw_start) or _lower(raw_start)
+            attrs = _attrs_of(soup) if soup else _NO_ATTRS
             if selfclose:
                 h.handle_startendtag(tag, attrs)
                 continue
-            if attrs is _NO_ATTRS and tag not in special_start:
+            if tag in VOID_TAGS:
+                if attrs is not _NO_ATTRS or tag in special_start:
+                    h.handle_startendtag(tag, attrs)
+                continue
+            if tag not in special_start:
                 tags_append(tag)
+                if attrs:
+                    open_structs(tag, attrs)
                 continue
             handle_starttag(tag, attrs)
-            if tag in _RAWTEXT_TAGS and tag not in VOID_TAGS:
-                m2 = _raw_end(tag).search(text, pos)
-                if m2:
-                    raw = text[pos:m2.start()]
-                    if raw:
-                        handle_data(raw)         # CDATA: no unescape
-                    handle_endtag(tag)
-                    pos = m2.end()
-                else:
-                    # unterminated raw-text element: stdlib swallows
-                    # the buffered content at EOF — match it
-                    pos = n
+            if tag in _RAWTEXT_TAGS:
+                m = _RAW_END[tag].search(text, pos)
+                if m is None:
+                    return        # stdlib swallows an unterminated body
+                if m.start() > pos:
+                    handle_data(text[pos:m.start()])   # no unescape
+                pop_tag()
+                pos = m.end()
+            continue
+        nxt = text[lt + 1] if lt + 1 < n else ""
+        if nxt in letters:
+            raise _Fallback
+        elif nxt == "/":
+            gt = find(">", lt + 2)
+            if gt < 0:
+                pos = _incomplete(h, text, lt)
+                continue
+            # stdlib: a name right after '</' is an end tag up to the
+            # '>'; '</>' and anything else is a bogus comment
+            m = _TAG_NAME.match(text, lt + 2)
+            if m is not None:
+                handle_endtag(m.group().lower())
+            pos = gt + 1
         elif nxt == "!":
             if text.startswith("<!--", lt):
-                end = find("-->", lt + 4)
-                pos = n if end < 0 else end + 3
-            else:                                 # doctype / bogus decl
-                gt = find(">", lt)
-                pos = n if gt < 0 else gt + 1
-        elif nxt == "?":                          # processing instruction
-            gt = find(">", lt)
-            pos = n if gt < 0 else gt + 1
-        else:                                     # lone '<' is text
-            handle_data("<")
+                m = _COMMENT_END.search(text, lt + 4)
+                pos = m.end() if m is not None else _incomplete(h, text, lt)
+            elif text.startswith("<![", lt):
+                raise _Fallback   # marked sections: stdlib may raise
+            else:                 # doctype / bogus comment: up to '>'
+                gt = find(">", lt + 2)
+                pos = gt + 1 if gt >= 0 else _incomplete(h, text, lt)
+        elif nxt == "?":          # processing instruction: up to '>'
+            gt = find(">", lt + 2)
+            pos = gt + 1 if gt >= 0 else _incomplete(h, text, lt)
+        else:                     # lone '<' is text
+            if collect or prop_stack or rdfa_prop_stack:
+                handle_data("<")
             pos = lt + 1
+
+
+def _incomplete(h: PageExtractor, text: str, lt: int) -> int:
+    """stdlib at EOF for an unterminated construct at ``lt``: its text
+    up to the next '>' (inclusive) or the next '<' is data."""
+    k = text.find(">", lt + 1)
+    if k < 0:
+        k = text.find("<", lt + 1)
+        if k < 0:
+            k = lt + 1
+    else:
+        k += 1
+    data = text[lt:k]
+    h.handle_data(unescape(data) if "&" in data else data)
+    return k
 
 
 def extract_page(html: str, *, engine: str = "fast",
                  want_text: bool = True):
     """Parse one HTML document → (visible_text, jsonld_blocks, micro_items,
     rdfa_roots). Never raises on malformed HTML (best-effort recovery).
-    ``engine="stdlib"`` forces the html.parser front end (differential
-    testing; the fast tokenizer also falls back to it per document on
-    any tokenizer error).  ``want_text=False`` skips visible-text block
-    assembly (the triples path never reads it); structured outputs are
-    identical either way (differential-pinned in tests)."""
+    ``engine="stdlib"`` forces the html.parser front end (the oracle;
+    the fast tokenizer falls back to it per document outside its
+    grammar or on any error).  ``want_text=False`` skips visible-text
+    block assembly (the triples path never reads it); structured
+    outputs are identical either way (differential-pinned in tests)."""
     if engine == "fast":
         p = PageExtractor(collect_text=want_text)
         try:
             _fast_feed(p, html)
-            p.close()
+            p.finish()    # the stdlib buffer was never fed
             return (p.visible_text(), p.jsonld_blocks, p.micro_items,
                     p.rdfa_roots)
-        except Exception:  # noqa: BLE001 — fall back to stdlib parsing
+        except Exception:  # noqa: BLE001 — _Fallback or a tokenizer bug
             pass
     p = PageExtractor(collect_text=want_text)
     try:

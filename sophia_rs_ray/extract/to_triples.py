@@ -29,6 +29,9 @@ class _Alloc:
         return t
 
 
+_RDF_TYPE = iri(RDF_TYPE)
+
+
 def _resolve_or_none(base: Optional[BaseIri], ref: str) -> Optional[str]:
     if is_absolute_iri(ref):
         return ref
@@ -40,22 +43,22 @@ def _resolve_or_none(base: Optional[BaseIri], ref: str) -> Optional[str]:
     return None
 
 
+def _vocab_of(itemtype: str) -> str:
+    """The first itemtype's vocabulary: up to its last '#' or '/'."""
+    for sep in ("#", "/"):
+        i = itemtype.rfind(sep)
+        if i > 0:
+            return itemtype[: i + 1]
+    return itemtype + "/"
+
+
 def microdata_to_triples(
     items: List[_MicroItem], base: Optional[BaseIri], alloc: _Alloc
 ) -> List[Tuple[Term, Term, Term]]:
     """Microdata items → triples. itemtype's base vocabulary (the IRI up to
     the last '/' or '#') resolves bare itemprop names."""
     out: List[Tuple[Term, Term, Term]] = []
-
-    def vocab_of(types: List[str]) -> Optional[str]:
-        if not types:
-            return None
-        t = types[0]
-        for sep in ("#", "/"):
-            i = t.rfind(sep)
-            if i > 0:
-                return t[: i + 1]
-        return t + "/"
+    append = out.append
 
     def emit(item: _MicroItem) -> Term:
         if item.itemid:
@@ -63,10 +66,11 @@ def microdata_to_triples(
             subj = iri(rid) if rid else alloc.fresh()
         else:
             subj = alloc.fresh()
-        vocab = vocab_of(item.types)
-        for t in item.types:
+        types = item.types
+        vocab = _vocab_of(types[0]) if types else None
+        for t in types:
             if is_absolute_iri(t):
-                out.append((subj, iri(RDF_TYPE), iri(t)))
+                append((subj, _RDF_TYPE, iri(t)))
         for name, value in item.props:
             if is_absolute_iri(name):
                 pred = iri(name)
@@ -74,14 +78,16 @@ def microdata_to_triples(
                 pred = iri(vocab + name)
             else:
                 continue
-            if isinstance(value, _MicroItem):
-                out.append((subj, pred, emit(value)))
+            if type(value) is str:
+                append((subj, pred, literal(value)))
+            elif isinstance(value, _MicroItem):
+                append((subj, pred, emit(value)))
             elif isinstance(value, tuple) and value and value[0] == "@iri":
                 rid = _resolve_or_none(base, value[1])
                 if rid:
-                    out.append((subj, pred, iri(rid)))
+                    append((subj, pred, iri(rid)))
             else:
-                out.append((subj, pred, literal(str(value))))
+                append((subj, pred, literal(str(value))))
         return subj
 
     for item in items:
@@ -93,13 +99,7 @@ def rdfa_to_triples(
     roots: List[_RdfaNode], base: Optional[BaseIri], alloc: _Alloc
 ) -> List[Tuple[Term, Term, Term]]:
     out: List[Tuple[Term, Term, Term]] = []
-
-    def expand(vocab: Optional[str], name: str) -> Optional[str]:
-        if is_absolute_iri(name):
-            return name
-        if vocab:
-            return vocab + name
-        return None
+    append = out.append
 
     def emit(node: _RdfaNode) -> Term:
         if node.about:
@@ -107,23 +107,25 @@ def rdfa_to_triples(
             subj = iri(rid) if rid else alloc.fresh()
         else:
             subj = alloc.fresh()
+        vocab = node.vocab
         for t in node.types:
-            ti = expand(node.vocab, t)
+            ti = t if is_absolute_iri(t) else vocab + t if vocab else None
             if ti:
-                out.append((subj, iri(RDF_TYPE), iri(ti)))
+                append((subj, _RDF_TYPE, iri(ti)))
         for name, kind, value in node.props:
-            pi = expand(node.vocab, name)
+            pi = name if is_absolute_iri(name) \
+                else vocab + name if vocab else None
             if not pi:
                 continue
             pred = iri(pi)
             if kind == "literal":
-                out.append((subj, pred, literal(str(value))))
+                append((subj, pred, literal(str(value))))
             elif kind == "iri":
                 rid = _resolve_or_none(base, str(value))
                 if rid:
-                    out.append((subj, pred, iri(rid)))
+                    append((subj, pred, iri(rid)))
             elif kind == "node":
-                out.append((subj, pred, emit(value)))
+                append((subj, pred, emit(value)))
         return subj
 
     for root in roots:

@@ -659,12 +659,42 @@ def per_group(ds, keys: Sequence[str], fn: Callable[[pa.Table], pa.Table]):
     return hash_aggregate(ds, keys, None, walk)
 
 
-def _join_reduce(join_type, on, right_on, l_suffix, r_suffix, n_left,
-                 *parts):
+def _typed_empty(src, fn) -> Optional[pa.Table]:
+    """Typed 0-row table of one join side, built where the join is
+    planned: its input schema (as :func:`_empty_input` gives it)
+    through the side's per-block kernel; None when unknown."""
+    try:
+        t = _empty_input(src, False)
+        return t if t is None or fn is None else fn(t)
+    except Exception:
+        return None
+
+
+def _stand_in_side(empty, keys, other, other_keys) -> pa.Table:
+    """The partition table of a join side without parts: every block
+    of it was a schema-less empty (Ray passes 0-row blocks through
+    map_batches without calling the fn, so ``_map_side`` drops them
+    all).  It joins as the planner's typed ``empty``, or, when that is
+    unknown or lacks the keys, as a key-only empty typed like the other
+    side's keys."""
+    if empty is not None and all(k in empty.column_names for k in keys):
+        return empty
+    return pa.table({
+        k: pa.array([], other.schema.field(ok).type if other is not None
+                    else pa.string())
+        for k, ok in zip(keys, other_keys)})
+
+
+def _join_reduce(join_type, on, right_on, l_suffix, r_suffix, empties,
+                 n_left, *parts):
     left = [p for p in parts[:n_left] if p is not None]
     right = [p for p in parts[n_left:] if p is not None]
-    lt = _concat_mixed(left)
-    rt = _concat_mixed(right)
+    lt = _concat_mixed(left) if left else None
+    rt = _concat_mixed(right) if right else None
+    if lt is None:
+        lt = _stand_in_side(empties[0], on, rt, right_on)
+    if rt is None:
+        rt = _stand_in_side(empties[1], right_on, lt, on)
     return lt.join(rt, keys=list(on), right_keys=list(right_on),
                    join_type=join_type,
                    left_suffix=l_suffix, right_suffix=r_suffix,
@@ -719,9 +749,10 @@ def exchange_join_refs(left, right, join_type: str, num_partitions: int,
             right_suffix=right_suffix, use_threads=False))]
 
     reduce = _remote(_join_reduce)
+    empties = (_typed_empty(left, l_fn), _typed_empty(right, r_fn))
     return [reduce.remote(join_type, tuple(on), tuple(right_on),
-                          left_suffix, right_suffix, len(l_cols[j]),
-                          *l_cols[j], *r_cols[j])
+                          left_suffix, right_suffix, empties,
+                          len(l_cols[j]), *l_cols[j], *r_cols[j])
             for j in range(num_partitions)]
 
 

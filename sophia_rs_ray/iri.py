@@ -37,11 +37,15 @@ def split_iri(iri: str) -> Tuple[Optional[str], Optional[str], str, Optional[str
     return m.group(1), m.group(2), m.group(3) or "", m.group(4), m.group(5)
 
 
+#: the scheme group of ``_RFC3986`` participates exactly when this matches
+_SCHEME_PREFIX = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
+
+
 @lru_cache(maxsize=8192)
 def is_absolute_iri(text: str) -> bool:
     # cached: extraction re-checks the same predicate/type IRIs constantly
-    scheme, _a, _p, _q, _f = split_iri(text)
-    return scheme is not None and not _FORBIDDEN.search(text)
+    return _SCHEME_PREFIX.match(text) is not None \
+        and not _FORBIDDEN.search(text)
 
 
 def is_valid_iri_ref(text: str) -> bool:

@@ -81,6 +81,7 @@ _KEYWORDS = frozenset((
 
 
 _MISS = object()  # vcache sentinel (None is a legal expansion result)
+_NO_DEF: dict = {}  # the empty term definition (read-only, shared)
 
 
 def _canonical_json(v: Any) -> str:
@@ -103,14 +104,9 @@ def canonical_double(v: float) -> str:
         return "INF"
     if v == float("-inf"):
         return "-INF"
-    mant, _, exp = f"{v:.15E}".partition("E")
-    mant = mant.rstrip("0")
-    if mant.endswith("."):
-        mant += "0"
-    # shorten mantissa if a shorter repr round-trips
     short = repr(v)
     if "e" not in short and "E" not in short and "." in short:
-        # re-derive from shortest repr
+        # the shortest repr is positional: re-derive the mantissa from it
         neg = short.startswith("-")
         digits = short.lstrip("-").replace(".", "")
         point = short.lstrip("-").index(".")
@@ -120,6 +116,10 @@ def canonical_double(v: float) -> str:
         digits = digits.rstrip("0") or "0"
         m = digits[0] + "." + (digits[1:] or "0")
         return ("-" if neg else "") + m + "E" + str(e)
+    mant, _, exp = f"{v:.15E}".partition("E")
+    mant = mant.rstrip("0")
+    if mant.endswith("."):
+        mant += "0"
     return mant + "E" + str(int(exp))
 
 
@@ -398,10 +398,9 @@ def _apply_maybe_cached(ctx: _Context, fragment: Any) -> _Context:
     if ctx.terms or ctx.vocab is not None or ctx.options is not None \
             or ctx.prev is not None or not _cacheable_fragment(fragment):
         return ctx.apply(fragment)
-    try:
-        key = json.dumps(fragment, sort_keys=True)
-    except (TypeError, ValueError):
-        return ctx.apply(fragment)
+    # the key is the fragment's repr: C-level, and distinct for distinct
+    # JSON values (key order only splits entries with equal contexts)
+    key = repr(fragment)
     if "@base" in key:
         return ctx.apply(fragment)
     hit = _APPLY_CACHE.get(key)
@@ -460,7 +459,12 @@ class JsonLdExpander:
                 expanded = ctx.expand_iri(sid, vocab=False)
                 if expanded is not None:
                     subject = iri(expanded)
-        has_props = any(not k.startswith("@") for k in obj) or "@type" in obj
+        has_props = "@type" in obj
+        if not has_props:
+            for k in obj:
+                if k[:1] != "@":
+                    has_props = True
+                    break
         if subject is None and (has_props or "@graph" in obj):
             subject = self.fresh_bnode() if has_props else None
 
@@ -510,6 +514,9 @@ class JsonLdExpander:
         through ``@nest`` containers (JSON-LD 1.1 §4.6.6: nested
         properties are semantically transparent — they belong to the
         enclosing node)."""
+        triples = self.triples
+        vcache = ctx.vcache
+        terms = ctx.terms
         for key, value in obj.items():
             if key[:1] == "@":
                 # direct keywords: @nest is the only one emitted here
@@ -521,7 +528,12 @@ class JsonLdExpander:
                         if isinstance(nv, dict) and "@value" not in nv:
                             self._emit_props(subject, nv, ctx, graph)
                 continue
-            pred_iri = ctx.expand_iri(key, vocab=True)
+            # inline expand_iri's vcache hit (keys here never start
+            # with '@'; a '_:' key is never cached)
+            pred_iri = vcache.get(key, _MISS) if vcache is not None \
+                else _MISS
+            if pred_iri is _MISS:
+                pred_iri = ctx.expand_iri(key, vocab=True)
             if pred_iri == "@nest":
                 for nv in value if isinstance(value, list) else [value]:
                     if isinstance(nv, dict) and "@value" not in nv:
@@ -538,7 +550,16 @@ class JsonLdExpander:
             if pred_iri is None or not is_absolute_iri(pred_iri):
                 continue
             pred = iri(pred_iri)
-            tdef = ctx.terms.get(key, {})
+            tdef = terms.get(key, _NO_DEF)
+            if tdef is _NO_DEF:
+                # no term definition: strings are plain xsd:string
+                # literals, everything else takes the general path
+                for v in value if isinstance(value, list) else (value,):
+                    o = literal(v) if type(v) is str \
+                        else self._value(v, ctx, graph, tdef)
+                    if o is not None:
+                        triples.append((subject, pred, o, graph))
+                continue
             if tdef.get("@reverse"):
                 # reversed term: emit (value, pred, subject)
                 for v in value if isinstance(value, list) else [value]:

@@ -97,7 +97,10 @@ class RdfsSchema:
                     out.append((o, RDF_TYPE_NT, c))
                     out += [(o, RDF_TYPE_NT, d) for d in self.class_up(c)]
         out += [(s, RDF_TYPE_NT, c) for c in types]
-        return out
+        # on a subClassOf cycle a class is its own super-class: rdfs9
+        # would re-derive the input itself
+        me = (s, p, o)
+        return [t for t in out if t != me]
 
 
 def collect_schema(nt_ds) -> RdfsSchema:

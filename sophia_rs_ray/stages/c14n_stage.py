@@ -109,10 +109,14 @@ def c14n_per_graph(ds, *, group_col: str = "url", cols=("s", "p", "o"),
 # ---------------------------------------------------------------------------
 
 def _bnode_mask(b: pa.Table, cols, g_col) -> pa.Array:
+    """Rows that may hold a blank node: ``_:`` anywhere in a term, so a
+    blank node inside a ``<<( … )>>`` triple term takes the exact path
+    too (a literal that merely contains ``_:`` does as well, which
+    stays exact)."""
     m = None
     names = list(cols) + ([g_col] if g_col and g_col in b.column_names else [])
     for c in names:
-        is_bn = pc.starts_with(pc.cast(b[c], pa.large_string()), "_:")
+        is_bn = pc.match_substring(pc.cast(b[c], pa.large_string()), "_:")
         m = is_bn if m is None else pc.or_(m, is_bn)
     return m
 

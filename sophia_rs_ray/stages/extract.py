@@ -47,21 +47,18 @@ TRIPLES_SCHEMA = pa.schema(
 )
 
 
-def _extract_pages(urls, htmls, push, push_error) -> None:
+def _extract_pages(urls, htmls, sink, push_error) -> None:
     """Shared per-page extraction driver: tokenize each page, expand the
-    JSON-LD blocks, convert microdata/RDFa, and hand every (url,
-    extractor, s, p, o) to ``push`` (term tuples, NOT yet skolemized)
-    and every parse failure to ``push_error``.  The two batch kernels
-    (flat term columns vs fused NT text) differ only in their sinks —
-    a differential test pins them equal row-for-row."""
+    JSON-LD blocks, convert microdata/RDFa, and hand each extractor's
+    triples of a page to ``sink(url, extractor, triples)`` (items whose
+    first three fields are the s, p, o terms, NOT yet skolemized) and
+    every parse failure to ``push_error``.  The two batch kernels (flat
+    term columns vs fused NT text) differ only in their sinks — a
+    differential test pins them equal row-for-row."""
     for url, html in zip(urls, htmls):
         if isinstance(html, (bytes, bytearray, memoryview)):
             html = bytes(html).decode("utf-8", errors="replace")
         _text, ld_blocks, micro, rdfa = extract_page(html, want_text=False)
-        try:
-            base: Optional[BaseIri] = BaseIri(url)
-        except ValueError:
-            base = None
 
         counter = 0
         for blk in ld_blocks:
@@ -78,15 +75,18 @@ def _extract_pages(urls, htmls, push, push_error) -> None:
                 push_error(url, "jsonld", f"jsonld: {e}")
                 continue
             counter = exp.counter
-            for s, p, o, _g in trs:
-                push(url, "jsonld", s, p, o)
+            sink(url, "jsonld", trs)
 
-        alloc = _Alloc(0)
-        for s, p, o in microdata_to_triples(micro, base, alloc):
-            push(url, "microdata", s, p, o)
-        alloc2 = _Alloc(0)
-        for s, p, o in rdfa_to_triples(rdfa, base, alloc2):
-            push(url, "rdfa", s, p, o)
+        if micro or rdfa:
+            try:
+                base: Optional[BaseIri] = BaseIri(url)
+            except ValueError:
+                base = None
+            if micro:
+                sink(url, "microdata",
+                     microdata_to_triples(micro, base, _Alloc(0)))
+            if rdfa:
+                sink(url, "rdfa", rdfa_to_triples(rdfa, base, _Alloc(0)))
 
 
 def extract_triples_batch(batch: pa.Table) -> pa.Table:
@@ -103,24 +103,28 @@ def extract_triples_batch(batch: pa.Table) -> pa.Table:
 
     BN = KIND_BNODE
 
-    def push(url: str, extractor: str,
-             s: Term, p: Term, o: Term) -> None:
-        # the suffix digest is label-independent and lru-cached per
-        # (url, extractor), so renaming is one concat per bnode term
-        if s[0] == BN or p[0] == BN or o[0] == BN:
-            sfx = skolem_suffix(url, extractor)
-            if s[0] == BN:
-                s = (BN, s[1] + sfx, s[2], s[3], s[4])
-            if p[0] == BN:
-                p = (BN, p[1] + sfx, p[2], p[3], p[4])
-            if o[0] == BN:
-                o = (BN, o[1] + sfx, o[2], o[3], o[4])
-        rows_append((url, extractor, "") + s + p + o)
+    def sink(url: str, extractor: str, triples) -> None:
+        head = (url, extractor, "")
+        sfx = None
+        for t in triples:
+            s, p, o = t[0], t[1], t[2]
+            if s[0] == BN or p[0] == BN or o[0] == BN:
+                # the suffix is label-independent: one digest per
+                # (page, extractor), one concat per bnode term
+                if sfx is None:
+                    sfx = skolem_suffix(url, extractor)
+                if s[0] == BN:
+                    s = (BN, s[1] + sfx, s[2], s[3], s[4])
+                if p[0] == BN:
+                    p = (BN, p[1] + sfx, p[2], p[3], p[4])
+                if o[0] == BN:
+                    o = (BN, o[1] + sfx, o[2], o[3], o[4])
+            rows_append(head + s + p + o)
 
     def push_error(url: str, extractor: str, msg: str) -> None:
         rows_append((url, extractor, msg) + _err_tail)
 
-    _extract_pages(urls, htmls, push, push_error)
+    _extract_pages(urls, htmls, sink, push_error)
 
     if rows:
         cols = list(zip(*rows))
@@ -139,6 +143,7 @@ def extract_triples_batch(batch: pa.Table) -> pa.Table:
 #: Extracted terms repeat heavily (measured ~16× per sf0.1 batch:
 #: predicates, rdf:type objects, shared entity IRIs), and template
 #: sites repeat them across batches for the life of the worker.
+#: Blank nodes never enter it: their skolemized text is page-unique.
 _NT_MEMO: dict = {}
 _NT_MEMO_MAX = 1 << 16
 
@@ -149,11 +154,12 @@ def extract_nt_batch(batch: pa.Table,
     hot path.  Equivalent to ``format_triples_batch(
     extract_triples_batch(batch), keep=keep)`` (differential-pinned in
     ``tests/test_extract.py``) but skips the 18-column flat-term
-    intermediate and its Arrow round-trip entirely: each term formats
-    ONCE per distinct value via a worker-persistent memo and lands
-    directly in the three output string columns.  Parse-error rows are
-    dropped (exactly what the format stage does).  Measured ~1.25× on
-    the extract stage at sf0.1 (BASELINE.md round 5)."""
+    intermediate and its Arrow round-trip entirely: the sink takes each
+    extractor's triples of a page in one call, formats each IRI/literal
+    term ONCE per distinct value via a worker-persistent memo, writes a
+    blank node as ``_:`` + label + the page's skolem suffix, and lands
+    the text directly in the three output string columns.  Parse-error
+    rows are dropped (exactly what the format stage does)."""
     urls = batch["url"].to_pylist()
     htmls = batch["html"].to_pylist()
 
@@ -162,40 +168,50 @@ def extract_nt_batch(batch: pa.Table,
     p_col: List[str] = []
     o_col: List[str] = []
     u_col: List[str] = []
-    s_app, p_app, o_app, u_app = (s_col.append, p_col.append,
-                                  o_col.append, u_col.append)
+    s_app, p_app, o_app = s_col.append, p_col.append, o_col.append
     memo = _NT_MEMO
     memo_get = memo.get
     BN = KIND_BNODE
 
     def fmt(t: Term) -> str:
-        v = memo_get(t)
-        if v is None:
-            if len(memo) >= _NT_MEMO_MAX:
-                memo.clear()
-            memo[t] = v = format_term(t)
+        if len(memo) >= _NT_MEMO_MAX:
+            memo.clear()
+        memo[t] = v = format_term(t)
         return v
 
-    def push(url: str, extractor: str,
-             s: Term, p: Term, o: Term) -> None:
-        if s[0] == BN or p[0] == BN or o[0] == BN:
-            sfx = skolem_suffix(url, extractor)
-            if s[0] == BN:
-                s = (BN, s[1] + sfx, s[2], s[3], s[4])
-            if p[0] == BN:
-                p = (BN, p[1] + sfx, p[2], p[3], p[4])
-            if o[0] == BN:
-                o = (BN, o[1] + sfx, o[2], o[3], o[4])
-        s_app(fmt(s))
-        p_app(fmt(p))
-        o_app(fmt(o))
+    def sink(url: str, extractor: str, triples) -> None:
+        sfx = None
+        # the extractors emit a node's triples in a run that shares one
+        # subject tuple: format it once per run
+        last_s = last_sv = None
+        for t in triples:
+            s, p, o = t[0], t[1], t[2]
+            if s is not last_s:
+                if s[0] == BN:
+                    if sfx is None:
+                        sfx = skolem_suffix(url, extractor)
+                    last_sv = "_:" + s[1] + sfx
+                else:
+                    last_sv = memo_get(s) or fmt(s)
+                last_s = s
+            s_app(last_sv)
+            if p[0] == BN or o[0] == BN:
+                if sfx is None:
+                    sfx = skolem_suffix(url, extractor)
+                p_app("_:" + p[1] + sfx if p[0] == BN
+                      else memo_get(p) or fmt(p))
+                o_app("_:" + o[1] + sfx if o[0] == BN
+                      else memo_get(o) or fmt(o))
+            else:
+                p_app(memo_get(p) or fmt(p))
+                o_app(memo_get(o) or fmt(o))
         if keep_url:
-            u_app(url)
+            u_col.extend([url] * (len(s_col) - len(u_col)))
 
     def push_error(url: str, extractor: str, msg: str) -> None:
         pass  # error rows carry no triple; the NT surface drops them
 
-    _extract_pages(urls, htmls, push, push_error)
+    _extract_pages(urls, htmls, sink, push_error)
 
     data = {}
     if keep_url:

@@ -31,6 +31,7 @@ Arrow schema of the distributed triple table (SURVEY.md §1.5).
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Tuple
 
 Term = Tuple[int, str, str, str, int]
@@ -144,9 +145,24 @@ _ESCAPE_NT = _build_escape_map(include_fffx=True)
 _ESCAPE_CNQ = _build_escape_map(include_fffx=False)
 
 
+def _escapes_in(table: dict):
+    """``search`` of a regex matching any character ``table`` maps."""
+    return re.compile(
+        "[" + "".join(re.escape(chr(c)) for c in sorted(table)) + "]").search
+
+
+#: most lexical forms need no escape: one C-level scan finds that out,
+#: where ``str.translate`` with a str-valued table walks every character
+#: through a dict lookup
+_HAS_ESCAPE_NT = _escapes_in(_ESCAPE_NT)
+_HAS_ESCAPE_CNQ = _escapes_in(_ESCAPE_CNQ)
+
+
 def escape_literal(text: str, cnq: bool = False) -> str:
     """Escape a literal lexical form for N-Triples output."""
-    return text.translate(_ESCAPE_CNQ if cnq else _ESCAPE_NT)
+    if cnq:
+        return text.translate(_ESCAPE_CNQ) if _HAS_ESCAPE_CNQ(text) else text
+    return text.translate(_ESCAPE_NT) if _HAS_ESCAPE_NT(text) else text
 
 
 # ---------------------------------------------------------------------------

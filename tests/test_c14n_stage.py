@@ -58,6 +58,36 @@ def test_c14n_dataset_no_bnodes(ray_session):
     assert got == normalize_quads(parse_document("\n".join(lines), quads=True))
 
 
+#: a blank node used both inside a triple term and at the top level
+TRIPLE_TERM_NQ = ["<tag:s> <tag:p> <<( _:y <tag:q> <tag:o> )>> .",
+                  '_:y <tag:r> "v" .']
+
+
+def test_c14n_dataset_triple_term_bnode_raises(ray_session):
+    # strict RDFC-1.0 has no triple terms: both entry points refuse the
+    # graph instead of labelling _:y twice
+    from sophia_rs_ray.c14n import UnsupportedError
+    from sophia_rs_ray.stages.c14n_stage import c14n_dataset
+
+    quads = parse_document("\n".join(TRIPLE_TERM_NQ), quads=True)
+    with pytest.raises(UnsupportedError):
+        normalize_quads(quads)
+    with pytest.raises(UnsupportedError):
+        c14n_dataset(_lines_to_ds(TRIPLE_TERM_NQ))
+
+
+def test_c14n_dataset_literal_with_bnode_text(ray_session):
+    # '_:' inside a literal sends the row down the exact path: same bytes
+    from sophia_rs_ray.stages.c14n_stage import c14n_dataset
+
+    lines = ['<tag:s> <tag:p> "see _:b here" .', "_:b <tag:p> <tag:o> .",
+             "<tag:s> <tag:p> <tag:o> ."]
+    got = "".join(r["nq"] for r in c14n_dataset(_lines_to_ds(lines))
+                  .take_all())
+    assert got == normalize_quads(parse_document("\n".join(lines),
+                                                 quads=True))
+
+
 def test_c14n_per_graph(ray_session):
     """Per-graph digests: isomorphic graphs agree, and a graph whose
     triples are spread over three input blocks canonicalizes exactly as

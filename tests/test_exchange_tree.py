@@ -196,6 +196,33 @@ def test_exchange_join_many_blocks_small_fanin(ray_session, tmp_path,
     assert (out["r"] == out["k"].str.slice(1).astype(int) * 100).all()
 
 
+def test_exchange_join_side_of_schema_less_empties(ray_session):
+    """A join side whose blocks are all 0-row and schema-less (Ray skips
+    map_batches on 0-row blocks, so the rename below never adds
+    ``__m``) joins as an empty side instead of failing the reduce."""
+    import ray
+    import ray.data as rd
+
+    from sophia_rs_ray.functions.exchange import exchange_join_refs
+
+    empty = rd.from_arrow(pa.table({
+        "s": pa.array([], pa.string()),
+        "o": pa.array([], pa.string())})).materialize()
+    renamed = empty.map_batches(
+        lambda b: pa.table({"s": b["s"], "__m": b["o"]}),
+        batch_format="pyarrow")
+    edges = rd.from_arrow(pa.table({"__m": ["a", "b"], "o": ["x", "y"]}))
+
+    def join(left, right, how):
+        return pa.concat_tables(ray.get(exchange_join_refs(
+            left, right, how, 2, on=("__m",))))
+
+    assert join(renamed, edges, "inner").num_rows == 0
+    kept = join(edges, renamed, "left outer")
+    assert sorted(kept.to_pylist(), key=lambda r: r["__m"]) == [
+        {"__m": "a", "o": "x"}, {"__m": "b", "o": "y"}]
+
+
 def test_auto_partitions_sizing(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray.data as rd

@@ -39,6 +39,17 @@ def test_schema_closure_handles_cycles():
     assert ("<x>", "<p>", "<y>") in schema.expand_row("<x>", "<q>", "<y>")
 
 
+def test_expand_row_on_cycles_excludes_input():
+    schema = RdfsSchema([("<a>", SC, "<b>"), ("<b>", SC, "<c>"),
+                         ("<c>", SC, "<a>"),
+                         ("<p>", SP, "<q>"), ("<q>", SP, "<p>")])
+    # the 3-cycle entails the two other classes, never the input row
+    assert sorted(schema.expand_row("<x>", RDF_TYPE_NT, "<c>")) == [
+        ("<x>", RDF_TYPE_NT, "<a>"), ("<x>", RDF_TYPE_NT, "<b>")]
+    assert schema.expand_row("<x>", "<q>", "<y>") == [
+        ("<x>", "<p>", "<y>")]
+
+
 def test_rules_end_to_end(ray_session):
     rows = [
         ("<C>", SC, "<D>"), ("<D>", SC, "<E>"),
