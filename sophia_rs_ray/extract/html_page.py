@@ -115,7 +115,7 @@ class PageExtractor(HTMLParser):
         if tag in VOID_TAGS:
             self.handle_startendtag(tag, attrs)
             return
-        a = attrs if type(attrs) is dict else dict(attrs)
+        a = attrs if type(attrs) is dict else _attr_dict(attrs)
         self._tags.append(tag)
         if tag in SKIP_TAGS:
             self._skip_depth += 1
@@ -143,7 +143,7 @@ class PageExtractor(HTMLParser):
                 self._start_rdfa(depth, tag, a)
 
     def handle_startendtag(self, tag: str, attrs) -> None:
-        a = attrs if type(attrs) is dict else dict(attrs)
+        a = attrs if type(attrs) is dict else _attr_dict(attrs)
         if tag == "br":
             self._flush_block()
             return
@@ -366,11 +366,18 @@ _COMMENT_END = re.compile(r"--\s*>")
 _RAW_END = {t: re.compile(rf"</\s*{t}\s*>", re.I) for t in _RAWTEXT_TAGS}
 
 
+def _attr_dict(attrs) -> dict:
+    """The stdlib's (name, value) attr list as a dict, the last
+    occurrence winning.  A valueless attribute reads as '' (the stdlib
+    reports None), as the HTML spec and the fast front end read it."""
+    return {k: "" if v is None else v for k, v in attrs}
+
+
 def _parse_attrs(soup: str) -> dict:
-    """Attrs of a strict-grammar soup as a dict (last occurrence wins,
-    as the handlers' own ``dict(attrs)`` over the stdlib list)."""
-    a = {name.lower(): (dq or sq or bare) if eq else None
-         for name, eq, dq, sq, bare in _ATTR_RE.findall(soup)}
+    """Attrs of a strict-grammar soup as a dict, as :func:`_attr_dict`
+    reads the stdlib list (last occurrence wins, valueless → '')."""
+    a = {name.lower(): dq or sq or bare
+         for name, _eq, dq, sq, bare in _ATTR_RE.findall(soup)}
     if "&" in soup:
         for k, v in a.items():
             if v and "&" in v:

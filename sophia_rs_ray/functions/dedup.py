@@ -158,11 +158,15 @@ def trigram_jaccard_consecutive(docs_ds, *, num_partitions: int = 4):
         # list<> payload columns
         import polars as pl
 
-        from .text import arrow_out, ngrams, token_lists
+        from .text import arrow_out, ngram_rows, token_frame
 
-        df = token_lists(b).select(
-            id=pl.col("doc_id").cast(pl.Int64),
-            grams=ngrams(3).list.unique().list.join("\x1f"))
+        grams = (ngram_rows(token_frame(b), 3, "g", ("rid",), distinct=True)
+                 .group_by("rid").agg(grams=pl.col("g").str.join("\x1f")))
+        df = (pl.from_arrow(b.select(["doc_id"]))
+              .with_columns(rid=pl.int_range(pl.len(), dtype=pl.Int64))
+              .join(grams, on="rid", how="left")
+              .select(id=pl.col("doc_id").cast(pl.Int64),
+                      grams=pl.col("grams").fill_null("")))
         return arrow_out(df, b, id=pa.int64(), grams=pa.large_string())
 
     left = docs_ds.map_batches(grams, batch_format="pyarrow")

@@ -50,9 +50,9 @@ def hll_partial_batch(b: pa.Table) -> pa.Table:
     bucket = hash >> (32-p); rank = leading zeros of the remaining
     (32-p)-bit window + 1 (window 0 → RANK_BITS+1).  Output is ≤ m
     rows regardless of batch size — the mergeable sketch property."""
-    from .text import ngram_rows, token_lists
+    from .text import ngram_rows, token_frame
 
-    toks = ngram_rows(token_lists(b, ()), 1, "tok", ()).unique().to_arrow()
+    toks = ngram_rows(token_frame(b, ()), 1, "tok", ()).unique().to_arrow()
     h = md5_prefix_u32_arrow(toks["tok"]).astype(np.uint32)
     bucket = (h >> np.uint32(HLL_RANK_BITS)).astype(np.int64)
     w = (h & np.uint32((1 << HLL_RANK_BITS) - 1)).astype(np.int64)

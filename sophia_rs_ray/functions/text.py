@@ -7,11 +7,18 @@ stateless tasks, no actor needed.
 Every token statistic goes through one path, so the engine and the
 DuckDB oracles agree on what a token is:
 
-- :func:`token_lists` is the one tokenizer (NULL text → no tokens);
-- :func:`ngrams` is the one n-gram builder over its token lists, and
-  :func:`ngram_rows` / :func:`ngram_batch` explode them per occurrence,
-  per distinct n-gram of a document, or with positions;
-- :func:`token_count` is the one token count (no token lists built),
+- :func:`token_frame` is the one tokenizer: one flat frame per block,
+  each token a row with its document's row index ``rid`` (NULL text →
+  no rows);
+- :func:`ngram_rows` is the one n-gram builder over that frame, per
+  occurrence, per distinct n-gram of a document, or with positions;
+  :func:`ngram_batch` is its Arrow form;
+- :func:`_doc_token_stats` reads the per-document Gopher signals
+  (token count and characters, distinct tokens, top token and bigram
+  multiplicities) off the same tokens with sorted integer keys;
+  :func:`quality_batch`, :func:`repetition_batch` and the Gopher
+  filter project from it;
+- :func:`token_count` is the one token count (no tokens built),
   :func:`n_tokens` its Arrow form;
 - :func:`arrow_out` turns a polars result back into Arrow with the
   input's ``doc_id`` type and the declared output types.
@@ -27,11 +34,12 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # RE2 parity (memory: the tokenizer trap): DuckDB's string_split_regex
 # '\s+' is RE2, whose \s is exactly [\t\n\f\r ] — NOT Python's
-# unicode-aware \s (U+00A0, \v, …).  The engine tokenizer uses the
-# explicit 5-char class so Python re, pyarrow/RE2 kernels, and polars'
+# unicode-aware \s (U+00A0, \v, …).  The engine tokenizer splits on
+# exactly these 5 chars so Python re, pyarrow/RE2 kernels, and polars'
 # Rust regex all agree byte-for-byte with the SQL oracle.
 _RE2_WS = " \t\n\f\r"
 _TOKEN_SPLIT = re.compile(f"[{_RE2_WS}]+")
@@ -39,6 +47,9 @@ _TOKEN_SPLIT = re.compile(f"[{_RE2_WS}]+")
 #: regex) and Python re alike
 TOKEN_RE2 = f"[^{_RE2_WS}]+"
 _WORD = re.compile(r"[a-zA-Z']+")
+#: the largest composite sort key of :func:`_doc_token_stats`; a bigram
+#: key that could exceed it goes through the pair dictionary instead
+_KEY_LIMIT = int(np.iinfo(np.int64).max)
 
 #: tiny per-language stopword profiles for the n-gram/stopword heuristic
 _LANG_PROFILES: Dict[str, frozenset] = {
@@ -72,44 +83,63 @@ def arrow_out(df, b: pa.Table, **types) -> pa.Table:
                      for c in out.column_names})
 
 
-def token_lists(b: pa.Table, cols: Sequence[str] = ("doc_id",)):
-    """The one tokenizer: a polars frame of ``b``'s ``cols`` plus
-    ``tok``, each text's RE2 \\S+ tokens in order (NULL text → [])."""
+def _tokens(b: pa.Table):
+    """``b``'s RE2 \\S+ tokens in document order as (rid, tok): an int64
+    numpy array of each token's row index in ``b`` and an Arrow string
+    array.  The other four RE2 whitespace chars become ' ' by literal
+    replaces, one split on ' ' follows, and the empty strings between
+    adjacent separators are dropped — the same tokens as
+    ``[^ \\t\\n\\f\\r]+`` without a regex."""
+    t = pc.fill_null(b["text"].combine_chunks(), "")
+    for ws in _RE2_WS[1:]:
+        t = pc.replace_substring(t, ws, " ")
+    lists = pc.split_pattern(t, " ")
+    tok = pc.list_flatten(lists)
+    keep = pc.not_equal(tok, "")
+    return (pc.list_parent_indices(lists).filter(keep).to_numpy(),
+            tok.filter(keep))
+
+
+def token_frame(b: pa.Table, cols: Sequence[str] = ("doc_id",)):
+    """The one tokenizer: a flat polars frame (``rid``, ``cols``,
+    ``tok``) with one row per RE2 \\S+ token of ``b``'s texts, in
+    document order; ``rid`` is the token's document's row index in
+    ``b`` and ``cols`` are that document's values (NULL text → no
+    rows)."""
     import polars as pl
 
-    return pl.from_arrow(b.select([*cols, "text"])).select(
-        *cols, pl.col("text").fill_null("").str.extract_all(TOKEN_RE2)
-        .alias("tok"))
-
-
-def ngrams(n: int):
-    """The one n-gram builder: ``tok``'s list of its ``n`` adjacent
-    tokens joined by ' ' (n = 1: the tokens themselves; a list shorter
-    than ``n`` has none)."""
-    import polars as pl
-
-    if n == 1:
-        return pl.col("tok")
-    return pl.col("tok").list.eval(pl.concat_str(
-        [pl.element().shift(-j) for j in range(n)],
-        separator=" ").drop_nulls())
+    rid, tok = _tokens(b)
+    return pl.from_arrow(pa.table({"rid": rid, **{c: b[c].take(rid)
+                                                  for c in cols},
+                                   "tok": tok}))
 
 
 def ngram_rows(toks, n: int, name: str, cols: Sequence[str] = ("doc_id",),
                *, distinct: bool = False, positions: bool = False):
-    """Token lists (:func:`token_lists`) → one row per n-gram
-    occurrence as (cols, name), or per distinct n-gram of a document
-    (``distinct``), or with its first token's 0-based index as
-    (cols, pos, name) (``positions``)."""
+    """The one n-gram builder: a token frame (:func:`token_frame`) →
+    one row per n-gram occurrence as (cols, name), or per distinct
+    n-gram of a document (``distinct``), or with its first token's
+    0-based index as (cols, pos, name) (``positions``).  An n-gram is a
+    token and its ``n - 1`` successors joined by ' ', kept where the
+    last successor is in the same document (a document with fewer than
+    ``n`` tokens has none)."""
     import polars as pl
 
-    g = ngrams(n).list.unique() if distinct else ngrams(n)
-    df = toks.select(*cols, g.alias(name))
+    df = toks
     if positions:
-        df = df.select(*cols, pl.int_ranges(pl.col(name).list.len())
-                       .alias("pos"), name)
-        return df.explode(["pos", name], empty_as_null=False)
-    return df.explode(name, empty_as_null=False)
+        df = df.with_columns(pos=pl.int_range(pl.len())
+                             - pl.col("rid").search_sorted(pl.col("rid")))
+    if n > 1:
+        df = df.with_columns(pl.concat_str(
+            [pl.col("tok").shift(-j) for j in range(n)], separator=" ")
+            .alias(name)).filter(pl.col("rid").shift(1 - n) == pl.col("rid"))
+    else:
+        df = df.rename({"tok": name})
+    if distinct:
+        # per-document first occurrences: measured at a third of the
+        # peak memory of a two-column ``unique`` on a 5,000-doc block
+        df = df.filter(pl.col(name).is_first_distinct().over("rid"))
+    return df.select(*cols, *(["pos"] if positions else []), name)
 
 
 def ngram_batch(b: pa.Table, n: int, name: str, *, distinct: bool = False,
@@ -119,9 +149,63 @@ def ngram_batch(b: pa.Table, n: int, name: str, *, distinct: bool = False,
     (bigram rarity, decontamination shingles, duplicate spans, LM and
     DSIR scoring).  Per-document distinct rows are globally distinct
     because a doc lives in exactly one batch."""
-    return arrow_out(ngram_rows(token_lists(b), n, name, distinct=distinct,
+    return arrow_out(ngram_rows(token_frame(b), n, name, distinct=distinct,
                                 positions=positions),
                      b, pos=pa.int64(), **{name: pa.string()})
+
+
+def _code_runs(rid: np.ndarray, code: np.ndarray, width: int, n: int):
+    """Per document of ``n``: (distinct codes, largest multiplicity of
+    one code) — the run count and longest run of the sorted composite
+    keys ``rid·width + code`` within each document (0 for a document
+    with no codes).  ``code < width`` and ``n·width`` fits int64."""
+    n_distinct = np.zeros(n, np.int64)
+    top = np.zeros(n, np.int64)
+    if len(code) == 0:
+        return n_distinct, top
+    key = np.sort(rid * width + code)
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    run_len = np.diff(np.r_[starts, len(key)])
+    run_doc = key[starts] // width
+    first = np.flatnonzero(np.r_[True, run_doc[1:] != run_doc[:-1]])
+    docs = run_doc[first]
+    n_distinct[docs] = np.diff(np.r_[first, len(run_doc)])
+    top[docs] = np.maximum.reduceat(run_len, first)
+    return n_distinct, top
+
+
+def _doc_token_stats(b: pa.Table) -> Dict[str, np.ndarray]:
+    """(doc_id, text) → the per-document token signals as int64 numpy
+    arrays in row order: ``n_tokens``, ``token_chars`` (Σ token
+    lengths), ``n_distinct``, ``top_token_count`` and
+    ``top_bigram_count`` (largest multiplicity of one token / one
+    adjacent token pair).
+
+    The tokens are dictionary-encoded to codes < V once; unigram counts
+    come off the sorted keys ``rid·V + code`` and bigram counts off
+    ``rid·V² + c1·V + c2`` (:func:`_code_runs`).  Where that bigram key
+    could overflow int64 the pairs are dictionary-encoded first, so the
+    counts stay exact for any vocabulary."""
+    n = b.num_rows
+    rid, tok = _tokens(b)
+    enc = pc.dictionary_encode(tok)
+    code = enc.indices.to_numpy().astype(np.int64)
+    v = len(enc.dictionary)
+    bounds = np.searchsorted(rid, np.arange(n + 1))
+    chars = np.r_[0, np.cumsum(pc.utf8_length(tok).to_numpy(),
+                               dtype=np.int64)]
+    n_distinct, top_token = _code_runs(rid, code, v, n)
+    same = rid[1:] == rid[:-1]
+    pair = code[:-1][same] * v + code[1:][same]
+    if n * v * v > _KEY_LIMIT:
+        pairs, pair = np.unique(pair, return_inverse=True)
+        width = len(pairs)
+    else:
+        width = v * v
+    _, top_bigram = _code_runs(rid[1:][same], pair, width, n)
+    return {"n_tokens": np.diff(bounds), "token_chars": np.diff(chars[bounds]),
+            "n_distinct": n_distinct, "top_token_count": top_token,
+            "top_bigram_count": top_bigram}
 
 
 def token_count():
@@ -151,33 +235,34 @@ def token_count_batch(b: pa.Table) -> pa.Table:
     return pa.table({"doc_id": b["doc_id"], "n_tokens": n_tokens(b)})
 
 
+def char_counts(b: pa.Table):
+    """``b``'s text lengths and ASCII-letter counts ([A-Za-z], as the
+    SQL regexp counts them) as two int64 numpy arrays (NULL → 0).  The
+    letters are counted as the chars a run-deleting regex removes: a
+    regex pays per match, so one match per run beats one per char."""
+    import polars as pl
+
+    text = pl.col("text").fill_null("")
+    df = pl.from_arrow(b.select(["text"])).select(
+        n=text.str.len_chars(),
+        rest=text.str.replace_all("[A-Za-z]+", "").str.len_chars())
+    n_chars = df["n"].to_numpy().astype(np.int64)
+    return n_chars, n_chars - df["rest"].to_numpy()
+
+
 def quality_batch(b: pa.Table) -> pa.Table:
     """(doc_id, text) → quality features. All INTEGER-valued on purpose:
     ratios (mean token length, alpha ratio) are left to the consumer so
     the oracle comparison is hash-exact (no float rounding-mode traps).
     alpha counts [A-Za-z] only (ASCII), mirroring the SQL regexp.
-
-    Vectorized as RUN-based polars str kernels.  Measured on the sf0.1
-    corpus (tests/test_text_vectorized.py pins equality): per-char
-    regex counts (``[^ws]`` one match per char) were SLOWER than the
-    original Python loop (0.27 s vs 0.16 s / 5k docs) because regex
-    pays per MATCH — counting runs and diffing lengths is 0.06 s.
-    token_chars = chars left after deleting whitespace runs ≡ Σ token
-    lengths; alpha = n_chars - chars left after deleting [A-Za-z]+."""
-    import polars as pl
-
-    df = _pl_docs(b)
-    n_chars = pl.col("text").str.len_chars().cast(pl.Int64)
-    out = df.select(
-        "doc_id",
-        n_chars.alias("n_chars"),
-        token_count().alias("n_tokens"),
-        pl.col("text").str.replace_all(f"[{_RE2_WS}]+", "")
-          .str.len_chars().cast(pl.Int64).alias("token_chars"),
-        (n_chars - pl.col("text").str.replace_all("[A-Za-z]+", "")
-         .str.len_chars().cast(pl.Int64)).alias("alpha_chars"),
-    )
-    return arrow_out(out, b)
+    n_tokens and token_chars come from :func:`_doc_token_stats`, the
+    two char counts from :func:`char_counts`."""
+    stats = _doc_token_stats(b)
+    n_chars, alpha = char_counts(b)
+    return pa.table({"doc_id": b["doc_id"], "n_chars": n_chars,
+                     "n_tokens": stats["n_tokens"],
+                     "token_chars": stats["token_chars"],
+                     "alpha_chars": alpha})
 
 
 def lang_id_batch(b: pa.Table) -> pa.Table:
@@ -212,33 +297,12 @@ def repetition_batch(b: pa.Table) -> pa.Table:
     (Rae et al. 2021 §A1.1: filter docs dominated by repeated lines /
     n-grams). INTEGER-valued counts on purpose (hash-exact oracle):
     consumers derive the fractions dup = 1 - n_distinct/n_tokens and
-    top_{1,2}gram_count/n_tokens themselves.
-
-    Deliberately the per-doc Counter loop: two polars rewrites were
-    tried and both measured SLOWER on the sf0.1 corpus (list.eval
-    unique_counts 0.40 s, explode + double group_by 0.26 s, Counter
-    0.15–0.18 s / 5k docs — per-doc histograms are too small for
-    columnar group-by overhead to amortize); equality is pinned in
-    tests/test_text_vectorized.py."""
-    from collections import Counter
-
-    texts = [t or "" for t in b["text"].to_pylist()]
-    n_tok, n_dist, top1, top2 = [], [], [], []
-    for t in texts:
-        ts = tokens_of(t)
-        c1 = Counter(ts)
-        c2 = Counter(f"{a} {bb}" for a, bb in zip(ts, ts[1:]))
-        n_tok.append(len(ts))
-        n_dist.append(len(c1))
-        top1.append(max(c1.values()) if c1 else 0)
-        top2.append(max(c2.values()) if c2 else 0)
-    return pa.table({
-        "doc_id": b["doc_id"],
-        "n_tokens": pa.array(n_tok, pa.int64()),
-        "n_distinct": pa.array(n_dist, pa.int64()),
-        "top_token_count": pa.array(top1, pa.int64()),
-        "top_bigram_count": pa.array(top2, pa.int64()),
-    })
+    top_{1,2}gram_count/n_tokens themselves.  A projection of
+    :func:`_doc_token_stats`."""
+    stats = _doc_token_stats(b)
+    return pa.table({"doc_id": b["doc_id"], **{
+        c: stats[c] for c in ("n_tokens", "n_distinct", "top_token_count",
+                              "top_bigram_count")}})
 
 
 _FP_BASE = np.uint64(1099511628211)
@@ -341,8 +405,6 @@ def normalize_batch(b: pa.Table) -> pa.Table:
     already-NFC row."""
     import unicodedata
 
-    import pyarrow.compute as pc
-
     s = pa.array([
         v if v is None or unicodedata.is_normalized("NFC", v)
         else unicodedata.normalize("NFC", v)
@@ -359,8 +421,6 @@ def normalize_batch(b: pa.Table) -> pa.Table:
 def pii_redact_text(text):
     """Regex PII scrub of a string array: emails → [EMAIL], then IPv4
     → [IP], then long digit runs → [NUM].  Vectorized RE2 kernels."""
-    import pyarrow.compute as pc
-
     s = pc.replace_substring_regex(text, pattern=PII_EMAIL,
                                    replacement="[EMAIL]")
     s = pc.replace_substring_regex(s, pattern=PII_IPV4, replacement="[IP]")
@@ -374,8 +434,6 @@ def pii_redact_batch(b: pa.Table) -> pa.Table:
     order-independent).  They stay on pyarrow's RE2 rather than polars'
     ``count_matches``: polars treats ``\\d`` and ``\\b`` as Unicode
     classes, where RE2 and the DuckDB oracle treat them as ASCII."""
-    import pyarrow.compute as pc
-
     t = b["text"]
     n_email = pc.count_substring_regex(t, pattern=PII_EMAIL)
     n_ip = pc.count_substring_regex(t, pattern=PII_IPV4)
@@ -398,7 +456,7 @@ def token_freq_batch(b: pa.Table) -> pa.Table:
     """(text) → corpus token occurrence counts of the batch as (tok, c)
     rows — the per-block partial of every exact vocabulary count;
     partials merge by SUM."""
-    df = ngram_rows(token_lists(b, ()), 1, "tok", ())
+    df = ngram_rows(token_frame(b, ()), 1, "tok", ())
     return arrow_out(df.group_by("tok").len("c"), b, tok=pa.string(),
                      c=pa.int64())
 
@@ -415,17 +473,15 @@ def segments_batch(b: pa.Table) -> pa.Table:
     Mirrored exactly by the DuckDB oracle's list-comprehension slice
     (``ts[i*10+1:i*10+10]``, 1-based inclusive).
 
-    Vectorized polars: explode tokens, window index = position //
-    SEGMENT_TOKENS, group-join with order preserved (polars agg lists
-    keep row order within each group); differential-pinned in
-    tests/test_text_vectorized.py."""
+    Vectorized polars: the token frame with positions, window index =
+    position // SEGMENT_TOKENS, group-join with order preserved (polars
+    agg lists keep row order within each group); differential-pinned
+    in tests/test_text_vectorized.py."""
     import polars as pl
 
-    ex = ngram_rows(token_lists(b).with_row_index("rid"), 1, "tok",
-                    ("rid", "doc_id"))
-    out = (ex.with_columns(
-               seg_idx=(pl.int_range(pl.len()).over("rid")
-                        // SEGMENT_TOKENS))
+    ex = ngram_rows(token_frame(b), 1, "tok", ("rid", "doc_id"),
+                    positions=True)
+    out = (ex.with_columns(seg_idx=pl.col("pos") // SEGMENT_TOKENS)
            .group_by(["rid", "doc_id", "seg_idx"], maintain_order=True)
            .agg(pl.col("tok").str.join(" ").alias("seg"))
            .drop("rid"))
@@ -438,8 +494,6 @@ def doc_segment_totals_batch(b: pa.Table) -> pa.Table:
     kept-segment stream so every doc_id survives reassembly even when
     all of its segments were corpus-duplicated (or the text is empty).
     Vectorized: the token count + integer ceil-div."""
-    import pyarrow.compute as pc
-
     totals = pc.divide(pc.add(n_tokens(b), pa.scalar(SEGMENT_TOKENS - 1)),
                        pa.scalar(SEGMENT_TOKENS))
     n = len(b)
@@ -492,7 +546,7 @@ def lm_train_batch(b: pa.Table) -> pa.Table:
     tokens are whitespace-free by construction."""
     import polars as pl
 
-    toks = token_lists(b, ())
+    toks = token_frame(b, ())
     bg = (ngram_rows(toks, 2, "key", ()).group_by("key").len("c")
           .with_columns(is_tok=pl.lit(False)))
     tk = (ngram_rows(toks, 1, "key", ()).unique()

@@ -525,36 +525,28 @@ def _gopher_kept(b: pa.Table) -> pa.Table:
     quality filter (Rae et al. 2021 §A1.1) as (doc_id, text, n_tokens):
     token count in [40, 100k], mean token length in (2, 12), alpha
     ratio > 0.6, duplicate-token fraction < 0.9, top-bigram fraction
-    < 0.18.  The quality and repetition features are computed over the
-    same block rows (a document lives whole in one block — no join),
-    and every ratio comparison is an integer cross-multiplication, so
-    the oracle is hash-exact (no float rounding)."""
-    from ..functions.text import quality_batch, repetition_batch
+    < 0.18.  The token signals (:func:`_doc_token_stats`) are computed
+    over the block rows (a document lives whole in one block — no join)
+    and the alpha ratio over the rows they keep; every ratio comparison
+    is an integer cross-multiplication, so the oracle is hash-exact (no
+    float rounding)."""
+    from ..functions.text import _doc_token_stats, char_counts
 
-    q = quality_batch(b)
-    r = repetition_batch(b)
-    nt = q["n_tokens"]
-    tc = q["token_chars"]
-    al = q["alpha_chars"]
-    nc = q["n_chars"]
-    nd = r["n_distinct"]
-    bg = r["top_bigram_count"]
-    m = pc.and_(pc.greater_equal(nt, pa.scalar(40)),
-                pc.less_equal(nt, pa.scalar(100_000)))
+    s = _doc_token_stats(b)
+    nt, tc = s["n_tokens"], s["token_chars"]
+    m = (nt >= 40) & (nt <= 100_000)
     # 2 < mean token len < 12  ⇔  2·n_tokens < token_chars < 12·n_tokens
-    m = pc.and_(m, pc.greater(tc, pc.multiply(nt, pa.scalar(2))))
-    m = pc.and_(m, pc.less(tc, pc.multiply(nt, pa.scalar(12))))
-    # alpha ratio > 0.6  ⇔  5·alpha > 3·n_chars
-    m = pc.and_(m, pc.greater(pc.multiply(al, pa.scalar(5)),
-                              pc.multiply(nc, pa.scalar(3))))
+    m &= (tc > 2 * nt) & (tc < 12 * nt)
     # dup fraction < 0.9  ⇔  n_tokens - n_distinct < 0.9·n_tokens
     #                     ⇔  10·n_distinct > n_tokens
-    m = pc.and_(m, pc.greater(pc.multiply(nd, pa.scalar(10)), nt))
+    m &= 10 * s["n_distinct"] > nt
     # top-bigram fraction < 0.18  ⇔  50·top_bigram < 9·n_tokens
-    m = pc.and_(m, pc.less(pc.multiply(bg, pa.scalar(50)),
-                           pc.multiply(nt, pa.scalar(9))))
-    return pa.table({"doc_id": b["doc_id"], "text": b["text"],
+    m &= 50 * s["top_bigram_count"] < 9 * nt
+    kept = pa.table({"doc_id": b["doc_id"], "text": b["text"],
                      "n_tokens": nt}).filter(m)
+    # alpha ratio > 0.6  ⇔  5·alpha > 3·n_chars
+    n_chars, alpha = char_counts(kept)
+    return kept.filter(5 * alpha > 3 * n_chars)
 
 
 def _quality_filter(sf_dir: str):
@@ -1328,12 +1320,12 @@ def _tfidf_top_terms(sf_dir: str):
     the per-partition work is a linear window count, no pairing."""
     from ..functions.exchange import (auto_partitions, hash_aggregate,
                                       hash_aggregate_refs)
-    from ..functions.text import arrow_out, ngram_rows, token_lists
+    from ..functions.text import arrow_out, ngram_rows, token_frame
 
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def token_tf(b: pa.Table) -> pa.Table:
-        tf = ngram_rows(token_lists(b), 1, "tok").group_by(["doc_id", "tok"])
+        tf = ngram_rows(token_frame(b), 1, "tok").group_by(["doc_id", "tok"])
         return arrow_out(tf.len("tf"), b, tok=pa.string(), tf=pa.int64())
 
     def attach_df(t: pa.Table) -> pa.Table:
@@ -2814,7 +2806,7 @@ def _ngram_mean(sf_dir: str, width: int, key: str, val: str, out_col: str,
     from ..functions.broadcast import worker_cached
     from ..functions.exchange import (auto_partitions, exchange_join_refs,
                                       map_blocks)
-    from ..functions.text import ngram_batch, ngram_rows, token_lists
+    from ..functions.text import ngram_batch, ngram_rows, token_frame
 
     docs = _docs(sf_dir, ["doc_id", "text"])
     if isinstance(table, pa.Table):
@@ -2826,7 +2818,7 @@ def _ngram_mean(sf_dir: str, width: int, key: str, val: str, out_col: str,
             import polars as pl
 
             tab = worker_cached(ref, pl.from_arrow)
-            agg = (ngram_rows(token_lists(b), width, key).join(tab, on=key)
+            agg = (ngram_rows(token_frame(b), width, key).join(tab, on=key)
                    .group_by("doc_id").agg(s=pl.col(val).sum(), n=pl.len()))
             out = (pl.from_arrow(b.select(["doc_id"]))
                    .join(agg, on="doc_id", how="left"))
@@ -2936,12 +2928,12 @@ def _dsir_token_counts(sf_dir: str):
     combiner-first exchange.  Returns the exchange's partition refs."""
     from ..functions.exchange import hash_aggregate_refs
     from ..functions.text import (DSIR_TARGET_LANG, arrow_out, ngram_rows,
-                                  token_lists)
+                                  token_frame)
 
     def partial(b: pa.Table) -> pa.Table:
         import polars as pl
 
-        toks = ngram_rows(token_lists(b, ["lang"]), 1, "tok", ["lang"])
+        toks = ngram_rows(token_frame(b, ["lang"]), 1, "tok", ["lang"])
         return arrow_out(
             toks.group_by("tok").agg(
                 c_all=pl.len(),

@@ -109,14 +109,15 @@ def c14n_per_graph(ds, *, group_col: str = "url", cols=("s", "p", "o"),
 # ---------------------------------------------------------------------------
 
 def _bnode_mask(b: pa.Table, cols, g_col) -> pa.Array:
-    """Rows that may hold a blank node: ``_:`` anywhere in a term, so a
-    blank node inside a ``<<( … )>>`` triple term takes the exact path
-    too (a literal that merely contains ``_:`` does as well, which
-    stays exact)."""
+    """Rows that take the exact path: ``_:`` (a blank node) or ``<<(``
+    (a triple term, which that path's term check refuses as
+    ``normalize_quads`` does) anywhere in a term.  A literal that merely
+    contains either marker goes there too, which stays exact."""
     m = None
     names = list(cols) + ([g_col] if g_col and g_col in b.column_names else [])
     for c in names:
-        is_bn = pc.match_substring(pc.cast(b[c], pa.large_string()), "_:")
+        is_bn = pc.match_substring_regex(pc.cast(b[c], pa.large_string()),
+                                         r"_:|<<\(")
         m = is_bn if m is None else pc.or_(m, is_bn)
     return m
 

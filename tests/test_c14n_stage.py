@@ -76,6 +76,18 @@ def test_c14n_dataset_triple_term_bnode_raises(ray_session):
         c14n_dataset(_lines_to_ds(TRIPLE_TERM_NQ))
 
 
+def test_c14n_dataset_triple_term_without_bnode_raises(ray_session):
+    # a triple term with no blank node meets the same term check
+    from sophia_rs_ray.c14n import UnsupportedError
+    from sophia_rs_ray.stages.c14n_stage import c14n_dataset
+
+    line = ["<tag:s> <tag:p> <<( <tag:a> <tag:q> <tag:o> )>> ."]
+    with pytest.raises(UnsupportedError):
+        normalize_quads(parse_document(line[0], quads=True))
+    with pytest.raises(UnsupportedError):
+        c14n_dataset(_lines_to_ds(line))
+
+
 def test_c14n_dataset_literal_with_bnode_text(ray_session):
     # '_:' inside a literal sends the row down the exact path: same bytes
     from sophia_rs_ray.stages.c14n_stage import c14n_dataset

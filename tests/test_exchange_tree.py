@@ -331,15 +331,17 @@ def test_refs_core_chains_like_dataset(ray_session, n_blocks):
 #: (home module, pattern no other module may contain; None: no module
 #: may) — one exchange map side, one remote-wrap cache (a wrap inside a
 #: function is a new task type per call), one per-worker broadcast
-#: cache, one tokenizer and token count (``TOKEN_RE2`` is used in
-#: ``functions/text.py`` only) and no Python-``\s`` whitespace split,
-#: which breaks tokens at \v and U+00A0 where RE2's ``\s`` does not
+#: cache, one tokenizer and token count (``TOKEN_RE2`` and the token
+#: split are used in ``functions/text.py`` only) and no Python-``\s``
+#: whitespace split, which breaks tokens at \v and U+00A0 where RE2's
+#: ``\s`` does not
 _HOMED = [
     ("functions/exchange.py",
      r"num_returns\s*=|_MergeTree\(|^\s+.*\bray\.remote\("),
     ("functions/broadcast.py", r"(?<!pa)\.binary\(\)"),
     ("functions/text.py",
-     r"TOKEN_RE2|\.str\.extract_all\(|\.str\.count_matches\("),
+     r"TOKEN_RE2|\.str\.extract_all\(|\.str\.count_matches\(|"
+     r"split_pattern\("),
     (None, r"re\.split\(\s*r?[\"']\\s\+"),
 ]
 #: modules whose small sides go through ``broadcast.gated_gather``:
@@ -380,9 +382,11 @@ def test_only_scatter_builds_exchanges():
     through Ray Data's sort-based ``groupby`` / ``map_groups``."""
     for home, pattern in _HOMED:
         assert _offenders(pattern, skip=home) == [], home
-    # the one tokenizer call and the one token count
-    assert len(_offenders(r"extract_all\(TOKEN_RE2\)")) == 1
+    # the one tokenizer split and the one token count; the per-document
+    # token statistics are columnar, with no Counter loop
+    assert len(_offenders(r"split_pattern\(")) == 1
     assert len(_offenders(r"count_matches\(TOKEN_RE2\)")) == 1
+    assert _offenders(r"\bCounter\(", only=["functions/text.py"]) == []
     assert _offenders(r"\.take_all\(\)|\.take\(\s*(\d|_*[A-Z])",
                       only=_GATED_MODULES) == []
     assert _offenders(

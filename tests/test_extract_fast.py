@@ -121,6 +121,24 @@ def test_fast_engine_is_default():
     assert ld == ['{"a":1}'] and text == "t"
 
 
+@pytest.mark.parametrize("engine", ["fast", "stdlib"])
+def test_valueless_attributes_read_as_empty(engine):
+    """A valueless attribute is '' as in the HTML spec: a bare
+    ``property`` names no property, and the rest of the page (text,
+    JSON-LD) is still extracted; a bare ``content`` is the empty
+    literal, never the string 'None'."""
+    text, ld, _m, rdfa = extract_page(
+        '<div vocab="http://schema.org/" typeof="T"><span property>x'
+        '</span></div><script type="application/ld+json">{"a":1}</script>'
+        '<p>after</p>', engine=engine)
+    assert (text, ld) == ("x\nafter", ['{"a":1}'])
+    assert [(r.types, r.props) for r in rdfa] == [(["T"], [])]
+    _t, _l, _m, rdfa = extract_page(
+        '<div vocab="http://schema.org/" typeof="Person">'
+        '<meta property="name" content></div>', engine=engine)
+    assert [r.props for r in rdfa] == [[("name", "literal", "")]]
+
+
 # ---------------------------------------------------------------------------
 # seeded random HTML
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Differential gates: the vectorized text kernels (pyarrow RE2 /
-polars list kernels) must agree ROW-FOR-ROW with the original per-row
-Python forms they replaced (VERDICT r03 item 6), and the one token
-path (tokenizer, n-gram builder, token count, and the kernels built on
-them) with ``tokens_of``.
+polars / numpy kernels) must agree ROW-FOR-ROW with the original
+per-row Python forms they replaced (VERDICT r03 item 6), and the one
+token path (token frame, n-gram builder, token count, per-document
+token statistics, and the kernels built on them) with ``tokens_of``.
 
 The reference implementations here are the pre-vectorization bodies,
 kept verbatim (Counter / tokens_of loops).  Corpora include the traps
@@ -12,10 +12,12 @@ unicode, and hot-repetition docs.
 """
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pyarrow as pa
 import pytest
 
+from sophia_rs_ray.functions import text
 from sophia_rs_ray.functions.sketches import HLL_RANK_BITS, hll_partial_batch
 from sophia_rs_ray.functions.text import (SEGMENT_TOKENS, SHINGLE_K,
                                           _LANG_PROFILES, _WORD,
@@ -24,8 +26,12 @@ from sophia_rs_ray.functions.text import (SEGMENT_TOKENS, SHINGLE_K,
                                           n_tokens, ngram_batch,
                                           quality_batch, repetition_batch,
                                           segments_batch, token_count_batch,
-                                          token_freq_batch, token_lists,
+                                          token_frame, token_freq_batch,
                                           tokens_of)
+from sophia_rs_ray.pipelines.queries import _gopher_kept
+
+#: 25 distinct letter-only words for the Gopher-filter documents
+_WORDS = [c + v + "ex" for c in "bcdfg" for v in "aeiou"]
 
 CORPUS = [
     "the cat sat on the mat",
@@ -50,6 +56,8 @@ CORPUS = [
     "one two three\vfour five six seven eight nine ten",
     "one two three\u00a0four five six seven eight nine ten",
     "\t one two three four five six seven eight nine ten \n",
+    " ".join(_WORDS + _WORDS[:20]),          # passes the Gopher filter
+    " ".join(["lorem ipsum"] * 8 + _WORDS[:24]),   # fails on its top bigram
 ]
 
 
@@ -89,6 +97,26 @@ def _ref_repetition(b):
                      max(c1.values()) if c1 else 0,
                      max(c2.values()) if c2 else 0))
     return rows
+
+
+def _ref_gopher(b):
+    """(doc_id, n_tokens) of the documents passing the five Gopher
+    conditions, evaluated as exact fractions, one document at a time."""
+    kept = []
+    for doc_id, t in zip(b["doc_id"].to_pylist(), b["text"].to_pylist()):
+        t = t or ""
+        ts = tokens_of(t)
+        n = len(ts)
+        if not 40 <= n <= 100_000:
+            continue
+        alpha = sum(("a" <= c <= "z") or ("A" <= c <= "Z") for c in t)
+        top2 = max(Counter(zip(ts, ts[1:])).values())
+        if (2 < Fraction(sum(map(len, ts)), n) < 12
+                and Fraction(alpha, len(t)) > Fraction(3, 5)
+                and 1 - Fraction(len(set(ts)), n) < Fraction(9, 10)
+                and Fraction(top2, n) < Fraction(18, 100)):
+            kept.append((doc_id, n))
+    return kept
 
 
 def _ref_lang_id(b):
@@ -148,9 +176,10 @@ def _check_token_path(b):
     and the token kernels built on them, against ``tokens_of``."""
     texts = b["text"].to_pylist()
     toks = [tokens_of(t or "") for t in texts]
-    lists = token_lists(b)
-    assert lists["tok"].to_list() == toks
-    assert lists["doc_id"].to_list() == b["doc_id"].to_pylist()
+    assert token_frame(b).rows() == [
+        (rid, doc_id, t)
+        for rid, (doc_id, ts) in enumerate(zip(b["doc_id"].to_pylist(), toks))
+        for t in ts]
     assert n_tokens(b).to_pylist() == [len(ts) for ts in toks]
     for n in (1, 2, SHINGLE_K):
         ref = _ref_ngrams(b, n)
@@ -212,11 +241,7 @@ def test_quality_matches_python():
 
 def test_repetition_matches_python():
     out = repetition_batch(B)
-    got = list(zip(out["n_tokens"].to_pylist(),
-                   out["n_distinct"].to_pylist(),
-                   out["top_token_count"].to_pylist(),
-                   out["top_bigram_count"].to_pylist()))
-    assert got == _ref_repetition(B)
+    assert _repetition_rows(out) == _ref_repetition(B)
     assert out["doc_id"].type == B["doc_id"].type
 
 
@@ -258,11 +283,13 @@ def test_doc_segment_totals_match_python():
     assert out["seg_idx"].to_pylist() == [-1] * len(CORPUS)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_randomized_differential(seed):
-    """Random corpora incl. whitespace-class edge chars and hot keys."""
+def _random_docs(seed):
+    """40 random documents incl. whitespace-class edge chars and hot
+    keys; ``seed`` None → the fixed corpus ``B``."""
     import random
 
+    if seed is None:
+        return B
     rng = random.Random(seed)
     alphabet = ["the", "of", "und", "le", "café", "x", "don't",
                 "a b", "😀", "spam", "t" * 50]
@@ -277,16 +304,24 @@ def test_randomized_differential(seed):
         for t in toks:
             s += t + rng.choice(seps)
         texts.append(rng.choice([None, "", s]) if not toks else s)
-    b = _docs(texts)
+    return _docs(texts)
+
+
+def _repetition_rows(out):
+    return list(zip(out["n_tokens"].to_pylist(),
+                    out["n_distinct"].to_pylist(),
+                    out["top_token_count"].to_pylist(),
+                    out["top_bigram_count"].to_pylist()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_randomized_differential(seed):
+    """Random corpora incl. whitespace-class edge chars and hot keys."""
+    b = _random_docs(seed)
 
     assert token_count_batch(b)["n_tokens"].to_pylist() \
         == _ref_token_count(b)
-    out = repetition_batch(b)
-    assert list(zip(out["n_tokens"].to_pylist(),
-                    out["n_distinct"].to_pylist(),
-                    out["top_token_count"].to_pylist(),
-                    out["top_bigram_count"].to_pylist())) \
-        == _ref_repetition(b)
+    assert _repetition_rows(repetition_batch(b)) == _ref_repetition(b)
     got = set(_cols(ngram_batch(b, 2, "bigram", distinct=True),
                     "doc_id", "bigram"))
     assert got == _ref_bigram_pairs(b)
@@ -298,6 +333,29 @@ def test_randomized_differential(seed):
     li = lang_id_batch(b)
     assert list(zip(li["pred_lang"].to_pylist(),
                     li["score"].to_pylist())) == _ref_lang_id(b)
+
+
+_CORPORA = pytest.mark.parametrize("seed", [None, *range(6)],
+                                   ids=["B", *map(str, range(6))])
+
+
+@_CORPORA
+def test_repetition_pair_dictionary_matches_python(seed, monkeypatch):
+    """A bigram key that could overflow int64 goes through the pair
+    dictionary; a zero key limit forces that path on every block."""
+    monkeypatch.setattr(text, "_KEY_LIMIT", 0)
+    b = _random_docs(seed)
+    assert _repetition_rows(repetition_batch(b)) == _ref_repetition(b)
+
+
+@_CORPORA
+def test_gopher_kept_matches_python(seed):
+    b = _random_docs(seed)
+    kept = _gopher_kept(b)
+    assert _cols(kept, "doc_id", "n_tokens") == _ref_gopher(b)
+    assert kept.schema.names == ["doc_id", "text", "n_tokens"]
+    if seed is None:      # B keeps its one passing document, not the other
+        assert [d for d, _ in _ref_gopher(b)] == [len(CORPUS) - 2]
 
 
 def test_fingerprint_matches_scalar_fnv():
