@@ -1495,14 +1495,14 @@ WHERE CAST(CAST('0x' || substr(md5(CAST(d.doc_id AS VARCHAR)), 1, 8)
 
 
 def _rdf_entailment(sf_dir: str):
-    """RDF-only ruleset saturation (reference ``Rdf`` struct) over the
-    doc triples: input + rdf1 (used predicates typed rdf:Property) +
-    the finite RDF axiomatic triples; D-entailment off so the oracle
-    is a pure SQL union."""
-    from ..reasoner import rdf_saturate
+    """``reasoner.saturate`` under the RDF ruleset (reference ``Rdf``
+    struct) over the doc triples: input + rdf1 (used predicates typed
+    rdf:Property) + the finite RDF axiomatic triples; without rdfD1
+    (literal typing), so the oracle is a pure SQL union."""
+    from ..reasoner import RDF, saturate
     from .doc_triples import doc_triples
 
-    return rdf_saturate(doc_triples(sf_dir), d_entailment=False)
+    return saturate(doc_triples(sf_dir), RDF - {"rdfD1"})
 
 
 def _rdf_entailment_sql() -> str:
@@ -1987,19 +1987,20 @@ _ONTOLOGY = [
 
 
 def _rdfs_entailment(sf_dir: str):
-    """RDFS saturation (rdfs2/3/5/7/9/11) of doc_triples ∪ a static test
-    ontology: schema collected + closed driver-side, broadcast into one
-    expansion pass, exact dedup (reasoner/src/ruleset/_rdfs.rs:35-97).
-    The SQL oracle expands the fixed ontology by hand."""
+    """``reasoner.saturate`` under the ρdf core (rdfs2/3/5/7/9/11) of
+    doc_triples ∪ a static test ontology: schema pulled + closed
+    driver-side, broadcast into one expansion pass, exact dedup
+    (reasoner/src/ruleset/_rdfs.rs:35-97).  The SQL oracle expands the
+    fixed ontology by hand."""
     import ray.data as rd
 
-    from ..reasoner import rdfs_saturate
+    from ..reasoner import RHO_DF, saturate
 
     onto = rd.from_arrow(pa.table({
         "s": pa.array([t[0] for t in _ONTOLOGY], pa.large_string()),
         "p": pa.array([t[1] for t in _ONTOLOGY], pa.large_string()),
         "o": pa.array([t[2] for t in _ONTOLOGY], pa.large_string())}))
-    return rdfs_saturate(doc_triples(sf_dir).union(onto))
+    return saturate(doc_triples(sf_dir).union(onto), RHO_DF)
 
 
 RDFS_ENTAILMENT_SQL = f"""
@@ -2027,26 +2028,24 @@ SELECT DISTINCT s, p, o FROM (
 """
 
 def _rdfs_entailment_full(sf_dir: str):
-    """FULL-ruleset RDFS saturation (reasoner.rdfs_saturate_full) of
-    doc_triples ∪ the static test ontology, in extended-ρdf
-    configuration (no axiomatic triples / rdfs4 Resource typing /
-    rdfs14 / D-typing, so the oracle stays hand-expandable): adds
-    rdfs1/6/8/10/12/13 machinery on top of rdfs2/3/5/7/9/11 — here
-    visible as ``p rdf:type rdf:Property`` + ``p rdfs:subPropertyOf p``
-    for every used predicate.  Parity target
-    reasoner/src/ruleset/_rdfs.rs:35-97."""
+    """``reasoner.saturate`` of doc_triples ∪ the static test ontology
+    under the RDFS ruleset in extended-ρdf configuration (no axiomatic
+    triples / rdfs4 Resource typing / rdfs14 / rdfD1 literal typing,
+    so the oracle stays hand-expandable): adds rdf1 and
+    rdfs6/8/10/12/13 on top of rdfs2/3/5/7/9/11 — here visible as
+    ``p rdf:type rdf:Property`` + ``p rdfs:subPropertyOf p`` for every
+    used predicate.  Parity target reasoner/src/ruleset/_rdfs.rs:35-97."""
     import ray.data as rd
 
-    from ..reasoner import rdfs_saturate_full
+    from ..reasoner import RDFS, saturate
 
     onto = rd.from_arrow(pa.table({
         "s": pa.array([t[0] for t in _ONTOLOGY], pa.large_string()),
         "p": pa.array([t[1] for t in _ONTOLOGY], pa.large_string()),
         "o": pa.array([t[2] for t in _ONTOLOGY], pa.large_string())}))
-    return rdfs_saturate_full(
-        doc_triples(sf_dir).union(onto), axiomatic=False,
-        resource_types=False, proposition_types=False,
-        literal_types=False, d_entailment=False)
+    return saturate(doc_triples(sf_dir).union(onto),
+                    RDFS - {"rdf-axioms", "rdfs-axioms", "rdfs4", "rdfs14",
+                            "rdfD1"})
 
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"

@@ -10,8 +10,8 @@ DuckDB oracle can check it exactly:
 - grouped aggregates with partial pre-aggregation  (exec.rs:943-1006)
 - ORDER BY + LIMIT top-k  (exec.rs:826-941)
 - GROUP_CONCAT  (aggregate_iter.rs:111-117)
-- transitive-closure fixpoint (property path ``+``, exec.rs:274-482 /
-  reasoner saturation loop)
+- transitive closure (property path ``+``, exec.rs:274-482) through the
+  one closure primitive, ``functions/components.transitive_closure``
 
 Scale notes are inline: small sides broadcast via ``ray.put``; both-large
 joins use hash-partitioned ``Dataset.join``; every aggregate pre-combines
@@ -499,60 +499,36 @@ GROUP BY r_name
 
 
 # ---------------------------------------------------------------------------
-# transitive closure (property path + / reasoner fixpoint)
+# transitive closure over the one closure primitive
+# (functions/components.transitive_closure)
 # ---------------------------------------------------------------------------
 
 def customer_ancestors(sf_dir: str):
     """Transitive closure of the deterministic hierarchy
-    ``parent(k) = k // 10`` over customer keys — the driver-controlled
-    fixpoint loop of SURVEY §2.5 (property path ``+``) / §2.10 (reasoner
-    saturation): iterate join-rounds, dedup each round, stop on no-growth.
-    """
+    ``parent(k) = k // 10`` over customer keys: the ``(k, k // 10)``
+    edges of keys ≥ 10 through ``components.transitive_closure`` (SURVEY
+    §2.5 property path ``+``), read back as int64 (node, ancestor)."""
     import ray.data as rd
 
+    from ..functions.components import transitive_closure
+
+    def edges(b: pa.Table) -> pa.Table:
+        k = b["c_custkey"].filter(pc.greater_equal(b["c_custkey"], 10))
+        return pa.table({"s": pc.cast(k, pa.string()),
+                         "o": pc.cast(pc.divide(k, 10), pa.string())})
+
     cust = _read(sf_dir, "customer", ["c_custkey"])
-    edges = cust.map_batches(
-        lambda b: pa.table({
-            "node": b["c_custkey"],
-            "ancestor": pc.divide(b["c_custkey"], pa.scalar(10)),
-        }).filter(pc.greater_equal(b["c_custkey"], pa.scalar(10))),
-        batch_format="pyarrow")
-    edges = edges.materialize()  # small; reused every round
-    if edges.count() == 0:
+    e = cust.map_batches(edges, batch_format="pyarrow").materialize()
+    if e.count() == 0:
         # keep the (node, ancestor) schema on the empty result — Ray
         # drops the schema of zero-block datasets
         return rd.from_arrow(pa.table({
             "node": pa.array([], pa.int64()),
             "ancestor": pa.array([], pa.int64())}))
-
-    # parent map is small (≤ n/10 distinct parents) → broadcast dict
-    import ray
-    parent = {}
-    for b in edges.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for n, a in zip(b["node"].to_pylist(), b["ancestor"].to_pylist()):
-            parent[n] = a
-    p_ref = ray.put(parent)
-
-    acc = edges
-    frontier = edges
-    while True:
-        def step(b: pa.Table) -> pa.Table:
-            lut = worker_cached(p_ref, dict)
-            nodes, ancs = [], []
-            for n, a in zip(b["node"].to_pylist(), b["ancestor"].to_pylist()):
-                nxt = lut.get(a)
-                if nxt is not None:
-                    nodes.append(n)
-                    ancs.append(nxt)
-            return pa.table({"node": pa.array(nodes, pa.int64()),
-                             "ancestor": pa.array(ancs, pa.int64())})
-
-        nxt = frontier.map_batches(step, batch_format="pyarrow").materialize()
-        if nxt.count() == 0:
-            break
-        acc = acc.union(nxt)
-        frontier = nxt
-    return acc
+    return transitive_closure(e).map_batches(
+        lambda b: pa.table({"node": pc.cast(b["s"], pa.int64()),
+                            "ancestor": pc.cast(b["o"], pa.int64())}),
+        batch_format="pyarrow")
 
 
 CUSTOMER_ANCESTORS_SQL = """

@@ -59,6 +59,12 @@ def _large_parts_in_lineitem(sf_dir, tmp_path):
     return _rows(large_parts_in_lineitem(sf_dir))
 
 
+def _customer_ancestors(sf_dir, tmp_path):
+    from sophia_rs_ray.pipelines.relational import customer_ancestors
+
+    return _rows(customer_ancestors(sf_dir))
+
+
 def _sparql_path_plus_free(sf_dir, tmp_path):
     """``?s parent+ ?o``: the full transitive closure."""
     from sophia_rs_ray.pipelines.sparql_queries import sparql_path_plus_var
@@ -90,7 +96,7 @@ def _near_dup_clusters(sf_dir, tmp_path):
 
 GATED = [_decontaminate, _lm_score, _dsir_weights, _canonicalize_exact,
          _customers_without_orders, _large_parts_in_lineitem,
-         _sparql_path_plus_free, _sparql_path_star_const,
+         _customer_ancestors, _sparql_path_plus_free, _sparql_path_star_const,
          _near_dup_clusters]
 
 

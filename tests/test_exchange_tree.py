@@ -347,7 +347,8 @@ _HOMED = [
 #: modules whose small sides go through ``broadcast.gated_gather``:
 #: no ``take_all()`` and no Dataset ``take(<limit>)`` pull
 _GATED_MODULES = ["pipelines/queries.py", "pipelines/relational.py",
-                  "stages/entity_dedup.py", "sparql/algebra.py"]
+                  "stages/entity_dedup.py", "sparql/algebra.py",
+                  "reasoner.py"]
 
 
 def _modules():
@@ -395,12 +396,18 @@ def test_only_scatter_builds_exchanges():
 
 def test_one_graph_fixpoint_module():
     """``functions/components.py`` holds the one transitive closure
-    (SPARQL paths, the RDFS schema) next to connected components, and
-    pulls their edge lists only through ``broadcast.gated_gather``."""
+    (SPARQL paths, the RDFS schema, ``customer_ancestors``) next to
+    connected components, and pulls their edge lists only through
+    ``broadcast.gated_gather``; ``reasoner.saturate`` is the one
+    saturation driver, with no per-ruleset fork."""
     assert _offenders(r"PathPlus|PathStar|_transitive_close|"
                       r"_PATH_LOCAL_EDGE_LIMIT|local_edge_limit") == []
+    assert _offenders(r"RdfsSchema|collect_schema|rdfs_saturate|"
+                      r"rdf_saturate|simple_saturate") == []
     assert _offenders(r"iter_batches|take_all",
-                      only=["functions/components.py"]) == []
+                      only=["functions/components.py", "reasoner.py"]) == []
+    assert _offenders(r"iter_batches",
+                      only=["pipelines/relational.py"]) == []
 
 
 def test_modules_compile_with_warnings_as_errors():

@@ -1,15 +1,18 @@
 """Generative RDFS-entailment differential gate: random ACYCLIC
 TBoxes (subClassOf / subPropertyOf DAGs + domain/range declarations)
-and random ABoxes, saturated by the engine (``rdfs_saturate``) and by
-a recursive-CTE SQL mirror of the same rule set (rdfs2/3/5/7/9/11
-with the closed-schema one-pass semantics) in DuckDB.
+and random ABoxes, saturated by the engine (``saturate`` under the ρdf
+core ``RHO_DF``) and by a recursive-CTE SQL mirror of the same rule
+set (rdfs2/3/5/7/9/11 with the closed-schema one-pass semantics) in
+DuckDB.
 
 The generated vocabulary is stratified — schema predicates never
-appear as subjects/objects of other schema triples — which is exactly
-the regime where the one-pass closed-schema expansion IS the fixpoint
-(meta-level schema, e.g. ``subPropertyOf rdfs:domain``, is out of
-scope for the engine's ruleset by design).  Hierarchies are acyclic
-here; cyclic ones are pinned in ``test_reasoner.py``."""
+appear as subjects/objects of other schema triples — which is the
+regime where this SQL mirror's one-pass closed-schema expansion IS the
+fixpoint.  Meta-level schema (e.g. ``subPropertyOf rdfs:domain``) is
+in scope for the engine, whose schema feedback passes close it, but
+not for the mirror; it is pinned in ``test_reasoner_full.py``
+(interleaved rdfs5/rdfs7).  Hierarchies are acyclic here; cyclic ones
+are pinned in ``test_reasoner.py``."""
 
 import random
 
@@ -81,14 +84,14 @@ derived AS (
   UNION SELECT t.s, '{TYPE}', sc.d
     FROM t JOIN qof ON t.p = qof.p JOIN dom ON dom.prop = qof.q
          JOIN sc ON sc.c = dom.cls
-  -- rdfs3 (+9): range typing, IRI objects only
+  -- rdfs3 (+9): range typing, every non-literal object
   UNION SELECT t.o, '{TYPE}', rng.cls
     FROM t JOIN qof ON t.p = qof.p JOIN rng ON rng.prop = qof.q
-    WHERE t.o LIKE '<%'
+    WHERE t.o NOT LIKE '"%'
   UNION SELECT t.o, '{TYPE}', sc.d
     FROM t JOIN qof ON t.p = qof.p JOIN rng ON rng.prop = qof.q
          JOIN sc ON sc.c = rng.cls
-    WHERE t.o LIKE '<%'
+    WHERE t.o NOT LIKE '"%'
   -- rdfs9: supertype closure of explicit typings
   UNION SELECT t.s, '{TYPE}', sc.d FROM t JOIN sc ON t.o = sc.c
     WHERE t.p = '{TYPE}'
@@ -106,7 +109,7 @@ def test_random_rdfs_saturation_matches_duckdb(seed, ray_session):
     import duckdb
     import ray.data as rd
 
-    from sophia_rs_ray.reasoner import rdfs_saturate
+    from sophia_rs_ray.reasoner import RHO_DF, saturate
 
     rng = random.Random(3300 + seed)
     triples = _random_ontology(rng)
@@ -116,7 +119,7 @@ def test_random_rdfs_saturation_matches_duckdb(seed, ray_session):
         "p": pa.array([x[1] for x in triples], pa.large_string()),
         "o": pa.array([x[2] for x in triples], pa.large_string()),
     }))
-    out = rdfs_saturate(ds)
+    out = saturate(ds, RHO_DF)
     got = sorted((r["s"], r["p"], r["o"]) for r in out.take_all())
 
     con = duckdb.connect()

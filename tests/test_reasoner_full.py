@@ -24,10 +24,10 @@ def _ds(triples):
         "o": pa.array([t[2] for t in triples], pa.large_string())}))
 
 
-def _saturate(triples, **kw):
-    from sophia_rs_ray.reasoner import rdfs_saturate_full
+def _saturate(triples, rules=None, **kw):
+    from sophia_rs_ray.reasoner import RDFS, saturate
 
-    out = rdfs_saturate_full(_ds(triples), **kw)
+    out = saturate(_ds(triples), RDFS if rules is None else rules, **kw)
     if isinstance(out, tuple):
         sat, errs = out
         return ({(r["s"], r["p"], r["o"]) for r in sat.take_all()},
@@ -115,9 +115,13 @@ def test_axiomatic_triples_present(ray_session):
     assert (_i(RDFS, "isDefinedBy"), SP, _i(RDFS, "seeAlso")) in got
 
 
-def test_interleaved_rdfs5_rdfs7(ray_session):
+@pytest.mark.parametrize("rules", ["RHO_DF", "RDFS"])
+def test_interleaved_rdfs5_rdfs7(rules, ray_session):
     # test.rs "interleaved rdfs5 and rdfs7": schema derived from
-    # instance triples through sup-chains feeding back
+    # instance triples through sup-chains feeding back — the ρdf core
+    # runs the same feedback rounds as the full ruleset
+    from sophia_rs_ray import reasoner
+
     got = _saturate([
         (_i(EX, "s"), _i(EX, "p1"), _i(EX, "o")),
         (_i(EX, "p1"), _i(EX, "spo1"), _i(EX, "p2")),
@@ -125,7 +129,7 @@ def test_interleaved_rdfs5_rdfs7(ray_session):
         (_i(EX, "spo1"), _i(EX, "spo2"), _i(EX, "spo3")),
         (_i(EX, "spo2"), _i(EX, "spo3"), SP),
         (_i(EX, "spo3"), SP, SP),
-    ])
+    ], getattr(reasoner, rules))
     assert (_i(EX, "s"), _i(EX, "p3"), _i(EX, "o")) in got
 
 
@@ -189,25 +193,24 @@ def test_normalize_literals(ray_session):
 
 
 def test_rho_df_subset_still_green(ray_session):
-    # the cheap default saturator must agree with the full one on the
-    # rules it implements
-    from sophia_rs_ray.reasoner import rdfs_saturate
+    # the ρdf core is a subset of the full ruleset, and its saturation
+    # of the same input a subset of the full one
+    from sophia_rs_ray.reasoner import RDFS, RHO_DF
 
     triples = [
         (_i(EX, "p"), DOM, _i(EX, "c")),
         (_i(EX, "c"), SC, _i(EX, "d")),
         (_i(EX, "s"), _i(EX, "p"), _i(EX, "o")),
     ]
-    rho = {(r["s"], r["p"], r["o"])
-           for r in __import__("sophia_rs_ray.reasoner",
-                               fromlist=["rdfs_saturate"])
-           .rdfs_saturate(_ds(triples)).take_all()}
+    assert RHO_DF <= RDFS
+    rho = _saturate(triples, RHO_DF)
     full = _saturate(triples)
     assert rho <= full
+    assert (_i(EX, "s"), T, _i(EX, "d")) in rho
     assert (_i(EX, "s"), T, _i(EX, "d")) in full
 
 
-# --- ruleset selector (Simple / Rdf / Rdfs parity) -----------------------
+# --- rulesets (Simple / Rdf / Rdfs parity) ---------------------------------
 
 def _nt_ds(triples):
     import pyarrow as pa
@@ -221,12 +224,13 @@ def _nt_ds(triples):
 
 
 def test_rdf_ruleset_rdf1_and_datatype(ray_session):
-    from sophia_rs_ray.reasoner import rdf_saturate
+    from sophia_rs_ray.reasoner import RDF, saturate
 
     ds = _nt_ds([
         ("<x:a>", "<x:p>", '"1"^^<http://www.w3.org/2001/XMLSchema#int>'),
+        ("<x:a>", "<x:p>", '"abc"'),
     ])
-    got = {(r["s"], r["p"], r["o"]) for r in rdf_saturate(ds).take_all()}
+    got = {(r["s"], r["p"], r["o"]) for r in saturate(ds, RDF).take_all()}
     t = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
     prop = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#Property>"
     # rdf1
@@ -234,36 +238,41 @@ def test_rdf_ruleset_rdf1_and_datatype(ray_session):
     # recognized-datatype typing (normalized dt, plus wider int types)
     assert ('"1"^^<http://www.w3.org/2001/XMLSchema#int>', t,
             "<http://www.w3.org/2001/XMLSchema#int>") in got
+    # a plain literal is an xsd:string, as under the full ruleset
+    assert ('"abc"', t, "<http://www.w3.org/2001/XMLSchema#string>") in got
     # no RDFS rules: nothing typed rdfs:Resource
     res = "<http://www.w3.org/2000/01/rdf-schema#Resource>"
     assert not any(o == res for (_s, _p, o) in got)
 
 
 def test_rdf_ruleset_no_rdfs_hierarchy(ray_session):
-    from sophia_rs_ray.reasoner import rdf_saturate
+    from sophia_rs_ray.reasoner import RDF, saturate
 
     sc = "<http://www.w3.org/2000/01/rdf-schema#subClassOf>"
     t = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
     ds = _nt_ds([("<x:A>", sc, "<x:B>"), ("<x:i>", t, "<x:A>")])
-    got = {(r["s"], r["p"], r["o"]) for r in rdf_saturate(ds).take_all()}
+    got = {(r["s"], r["p"], r["o"]) for r in saturate(ds, RDF).take_all()}
     assert ("<x:i>", t, "<x:B>") not in got  # rdfs9 must NOT fire
 
 
 def test_simple_ruleset_identity(ray_session):
-    from sophia_rs_ray.reasoner import simple_saturate
+    from sophia_rs_ray.reasoner import SIMPLE, saturate
 
     ds = _nt_ds([("<x:a>", "<x:p>", "<x:b>"),
                  ("<x:a>", "<x:p>", "<x:b>")])
-    got = [(r["s"], r["p"], r["o"]) for r in simple_saturate(ds).take_all()]
+    got = [(r["s"], r["p"], r["o"])
+           for r in saturate(ds, SIMPLE).take_all()]
     assert sorted(got) == [("<x:a>", "<x:p>", "<x:b>")]
+    assert saturate(_nt_ds([]), SIMPLE).count() == 0
 
 
 def test_saturate_selector(ray_session):
-    import pytest as _pytest
-
-    from sophia_rs_ray.reasoner import saturate
+    # the ruleset argument: a set of rule ids, unknown ids refused
+    from sophia_rs_ray.reasoner import SIMPLE, saturate
 
     ds = _nt_ds([("<x:a>", "<x:p>", "<x:b>")])
-    assert saturate(ds, "simple").count() == 1
-    with _pytest.raises(ValueError):
-        saturate(ds, "owl")
+    assert saturate(ds, SIMPLE).count() == 1
+    with pytest.raises(ValueError):
+        saturate(ds, {"owl"})
+    with pytest.raises(ValueError):
+        saturate(ds, "rdfs")
