@@ -24,6 +24,15 @@ Every grouping is a :func:`hash_aggregate`: :func:`grouped` for
 per-key aggregates and DISTINCT, :func:`per_group` for one ``fn`` call
 per group, or a caller's own combine/finalize pair.
 
+Every piece is a plain Arrow table.  A dictionary-encoded input column
+(Parquet dictionary pages read back as an Arrow dictionary) is decoded
+once, by :func:`_undict` in the split kernel its block enters
+(``_map_side``, ``_split_block``), so the hash, the merge tree and the
+reduces never see one.  Terms are interned where that pays: in the
+written layouts' Parquet dictionary pages (SURVEY §1.5).  The shuffle's
+cost is its object count, not its payload bytes (BASELINE.md, the 128-
+vs 256-block probe).
+
 :func:`parquet_blocks` is the one raw-task Parquet source: a file or a
 directory read by plain tasks into block refs, split as Ray Data's
 ``read_parquet`` splits it, and streamed into :func:`scatter` (or
@@ -43,7 +52,8 @@ The aggregate shape, for example:
 
 Partitioning assumption (documented per SURVEY §2.custom-operators):
 a row's partition is a pure function of its key columns' content
-(crc32) — deterministic across runs and processes, no coordination.
+(:func:`_key_hash`) — deterministic across runs and processes, no
+coordination.
 Skewed keys are fine for algebraic aggregates because combine() has
 already collapsed each block to ≤1 row per distinct key, so a hub key
 contributes at most ``blocks`` rows to its partition.
@@ -89,31 +99,6 @@ def auto_partitions(ds, *, bytes_per_partition: int = 32 << 20,
     return int(max(lo, min(hi, est)))
 
 
-def intern_threshold() -> int:
-    """Minimum partition-piece rows before exchange payloads are
-    dictionary-encoded (SURVEY §1.5 interned terms).
-
-    Interning trades encode/decode CPU for exchange BYTES.  On a
-    single node the object store is shared memory — there are no
-    network bytes to save, so interning is pure overhead (measured:
-    the 500k-page flagship's 16/32-CPU arms regressed ~25% with
-    unconditional interning).  Default: engage at 128-row cells only
-    when the Ray cluster has >1 alive node; ``SOPHIA_INTERN_MIN_ROWS``
-    overrides either way (0 = always, huge = never)."""
-    env = os.environ.get("SOPHIA_INTERN_MIN_ROWS")
-    if env is not None:
-        return int(env)
-    try:
-        import ray
-
-        if ray.is_initialized() and \
-                sum(1 for n in ray.nodes() if n.get("Alive")) > 1:
-            return 128
-    except Exception:
-        pass
-    return 1 << 62
-
-
 def _key_hash(tbl: pa.Table, key_cols: Sequence[str]):
     """Vectorized content hash of the key columns → uint64 numpy array.
 
@@ -125,13 +110,6 @@ def _key_hash(tbl: pa.Table, key_cols: Sequence[str]):
     import numpy as np
 
     sel = tbl.select(list(key_cols))
-    if any(pa.types.is_dictionary(sel[c].type) for c in sel.column_names):
-        # dictionary-encoded (interned) key columns: hash the VALUES,
-        # not the block-local indices (polars would hash the categorical
-        # physical codes, which differ per block)
-        sel = pa.table({c: pc.cast(sel[c], pa.large_string())
-                        if pa.types.is_dictionary(sel[c].type) else sel[c]
-                        for c in sel.column_names})
     try:
         import polars as pl
 
@@ -184,14 +162,17 @@ def _map_side(block, key_cols, num_partitions, combine):
         # map_batches passed through without calling the fn): it
         # contributes nothing and its schema is unusable — skip it
         return (None,) * max(num_partitions, 1)
+    block = _undict(block)
     t = combine(block) if combine is not None else block
     return _split_by_key(t, key_cols, num_partitions)
 
 
 def _undict(t: pa.Table) -> pa.Table:
-    """Decode every dictionary-encoded (interned) column to its plain
-    value type (string-likes widen to large_string, matching the plain
-    payload convention)."""
+    """Decode every dictionary-encoded column (a Parquet column written
+    from an Arrow dictionary reads back as one) to its plain value type,
+    string-likes widened to large_string.  The exchange's split kernels
+    run it once per block as the block enters, so every piece, merge and
+    reduce sees plain columns only."""
     if not any(pa.types.is_dictionary(f.type) for f in t.schema):
         return t
     cols = {}
@@ -204,20 +185,6 @@ def _undict(t: pa.Table) -> pa.Table:
             col = pc.cast(col, vt)
         cols[name] = col
     return pa.table(cols)
-
-
-def _concat_mixed(parts):
-    """Concat partials that may mix interned (dictionary) and plain
-    (large_string) schemas.  ``intern_threshold`` is a per-piece row
-    cutoff, so one partition legitimately receives both layouts (small
-    cells skip interning); pa.concat_tables raises on the mix, so
-    decode first when schemas differ."""
-    # schema objects with dict metadata are unhashable — compare by
-    # equality, not via a set
-    first = parts[0].schema
-    if any(p.schema != first for p in parts[1:]):
-        parts = [_undict(p) for p in parts]
-    return pa.concat_tables(parts, promote_options="default")
 
 
 def _merge_pieces(*parts):
@@ -236,7 +203,7 @@ def _merge_pieces(*parts):
     if not nonempty:
         # keep the narrowest empty schema (see _reduce_side rationale)
         return min(parts, key=lambda p: p.num_columns)
-    return _concat_mixed(nonempty)
+    return pa.concat_tables(nonempty, promote_options="default")
 
 
 class _MergeTree:
@@ -274,18 +241,11 @@ def _iter_block_refs(src):
     """Yield the input's block ObjectRefs: a list of refs as given, a
     :class:`ParquetBlocks` source's as its reads launch, a Dataset's
     as they materialize (streaming — the driver never pins the full
-    block list; each ref is dropped once its split task holds it).
-    Falls back to the barrier ``to_arrow_refs()`` on Ray versions
-    without the streaming ref API."""
+    block list; each ref is dropped once its split task holds it)."""
     if isinstance(src, (list, tuple, ParquetBlocks)):
         yield from src
         return
-    try:
-        bundles = src.iter_internal_ref_bundles()
-    except AttributeError:  # older Ray
-        yield from src.to_arrow_refs()
-        return
-    for bundle in bundles:
+    for bundle in src.iter_internal_ref_bundles():
         yield from bundle.block_refs
 
 
@@ -506,7 +466,7 @@ def _reduce_side(finalize, fallback, *parts):
     # narrowest empty schema (the projected one).
     nonempty = [p for p in parts if p.num_rows > 0]
     if nonempty:
-        t = _concat_mixed(nonempty)
+        t = pa.concat_tables(nonempty, promote_options="default")
     else:
         t = min(parts, key=lambda p: p.num_columns)
     return finalize(t) if finalize is not None else t
@@ -654,7 +614,8 @@ def per_group(ds, keys: Sequence[str], fn: Callable[[pa.Table], pa.Table]):
                                                 pa.int64()))
         rows = rows.group_by(keys, use_threads=False).aggregate(
             [("_row", "list")])["_row_list"]
-        return _concat_mixed([fn(t.take(r.values)) for r in rows])
+        return pa.concat_tables([fn(t.take(r.values)) for r in rows],
+                                promote_options="default")
 
     return hash_aggregate(ds, keys, None, walk)
 
@@ -689,8 +650,8 @@ def _join_reduce(join_type, on, right_on, l_suffix, r_suffix, empties,
                  n_left, *parts):
     left = [p for p in parts[:n_left] if p is not None]
     right = [p for p in parts[n_left:] if p is not None]
-    lt = _concat_mixed(left) if left else None
-    rt = _concat_mixed(right) if right else None
+    lt = pa.concat_tables(left, promote_options="default") if left else None
+    rt = pa.concat_tables(right, promote_options="default") if right else None
     if lt is None:
         lt = _stand_in_side(empties[0], on, rt, right_on)
     if rt is None:
@@ -741,7 +702,7 @@ def exchange_join_refs(left, right, join_type: str, num_partitions: int,
                 t = pa.schema([(n, t) for n, t in
                                zip(sch.names, sch.types)]).empty_table()
                 return t if fn is None else fn(t)
-            return _concat_mixed(parts)
+            return pa.concat_tables(parts, promote_options="default")
 
         return [ray.put(_whole(left, l_cols, n_l, l_fn).join(
             _whole(right, r_cols, n_r, r_fn), keys=on, right_keys=right_on,

@@ -3,9 +3,10 @@
 
 Pattern (SURVEY §2.8): compose a single key column, pre-deduplicate
 inside each batch (combiner — cuts shuffle volume before the wide op),
-then one ``groupby(key).aggregate(...)`` whose aggregation is fully
-vectorized (no per-group Python). The key IS the content, so the
-aggregate only needs to carry provenance (min url) and multiplicity.
+then one exact per-triple aggregate on the raw-task hash exchange
+(``functions.exchange.hash_aggregate``), fully vectorized (no per-group
+Python). The key IS the content, so the aggregate only needs to carry
+provenance (min url) and multiplicity.
 """
 
 from __future__ import annotations
@@ -38,19 +39,17 @@ def dedup_triples(ds, carry_min: tuple = ("url",), with_count: bool = False,
     hash-exchange (functions/exchange.py — measured ~5× cheaper than the
     sort-based groupby at bench scale): per-block combiner dedup, then
     one exact per-partition dedup.  The combiner means a hub triple is
-    shipped once per *block*, not once per page — and the s/p/o payload
-    columns are dictionary-encoded (SURVEY §1.5 interned terms), so a
-    shared TERM's string also crosses the exchange once per block
-    rather than once per distinct triple containing it.
+    shipped once per *block*, not once per page.  The s/p/o payload is
+    plain large_string; dictionary-encoded input is decoded once where
+    its block enters the exchange.  A 0-row block without s/p/o (Ray
+    passes 0-row blocks through ``map_batches`` without calling the fn)
+    adds no rows.
     """
-    from ..functions.exchange import hash_aggregate, intern_threshold
+    from ..functions.exchange import hash_aggregate
 
     keep_extra = list(carry_min) + (["n_dups"] if with_count else [])
     carry = list(carry_min)
     term_cols = ["s", "p", "o"]
-    # interning pays only when exchange bytes cross a network (see
-    # intern_threshold); captured at build time on the driver
-    intern_min = intern_threshold()
 
     def _aggs():
         aggs = [(c, "min") for c in carry]
@@ -62,6 +61,10 @@ def dedup_triples(ds, carry_min: tuple = ("url",), with_count: bool = False,
         return term_cols + carry + (["n_dups"] if with_count else [])
 
     def combine(b: pa.Table) -> pa.Table:
+        if not b.num_rows and not set(term_cols) <= set(b.column_names):
+            return pa.table({c: pa.array([], pa.int64() if c == "n_dups"
+                                         else pa.large_string())
+                             for c in _names()})
         b = add_spo_key(b)
         cols = {"spo_key": b["spo_key"]}
         for c in term_cols:
@@ -75,19 +78,9 @@ def dedup_triples(ds, carry_min: tuple = ("url",), with_count: bool = False,
         # them through the per-key aggregate
         g = t.group_by("spo_key").aggregate(
             [(c, "min") for c in term_cols] + _aggs())
-        g = g.rename_columns(["spo_key"] + _names())
-        intern = g.num_rows >= intern_min
-        return pa.table({
-            c: (pc.dictionary_encode(g[c].combine_chunks())
-                if intern and c in term_cols else g[c])
-            for c in _names()})
+        return g.rename_columns(["spo_key"] + _names()).select(_names())
 
     def finalize(t: pa.Table) -> pa.Table:
-        # decode the interned terms ONCE per partition, then the exact
-        # per-key aggregate
-        t = pa.table({c: pc.cast(t[c], pa.large_string())
-                      if pa.types.is_dictionary(t[c].type) else t[c]
-                      for c in t.column_names})
         aggs = _aggs() or [([], "count_all")]
         g = t.group_by(term_cols).aggregate(aggs)
         g = g.select(g.column_names[:len(_names())])

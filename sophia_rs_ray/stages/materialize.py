@@ -63,8 +63,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..functions.exchange import (_concat_mixed, _remote, _undict,
-                                  intern_threshold, scatter)
+from ..functions.exchange import _remote, _undict, scatter
 
 ORDERS: Dict[str, Tuple[str, str, str]] = {
     "spo": ("s", "p", "o"),
@@ -184,11 +183,9 @@ def _write_one_partition(tbl: pa.Table, out_dir: str, order: str,
     cols = _order_cols(order)
     t0 = time.perf_counter()
     keep = [c for c in ("g", "s", "p", "o") if c in cols]
-    tbl = _undict(tbl.select(keep))
-    td = time.perf_counter()
     # defragment before sorting: exchanged partitions arrive as many
     # small concat chunks and sort_by's chunked take degrades badly
-    tbl = tbl.combine_chunks()
+    tbl = tbl.select(keep).combine_chunks()
     tc = time.perf_counter()
     c0 = time.process_time()
     tbl = tbl.sort_by([(c, "ascending") for c in cols])
@@ -221,9 +218,8 @@ def _write_one_partition(tbl: pa.Table, out_dir: str, order: str,
         os.replace(tmp, os.path.join(d, f"part-{salt}.parquet"))
     tw = time.perf_counter()
     row = {
-        "t_dedup_ms": round(1000 * (td - t0), 1),
-        "t_sort_ms": round(1000 * (ts - td), 1),
-        "t_combine_ms": round(1000 * (tc - td), 1),
+        "t_sort_ms": round(1000 * (ts - t0), 1),
+        "t_combine_ms": round(1000 * (tc - t0), 1),
         "t_sortonly_ms": round(1000 * (tso - tc), 1),
         "t_sortcpu_ms": round(1000 * cso, 1),
         "t_write_ms": round(1000 * (tw - ts), 1),
@@ -265,28 +261,11 @@ def _partition_layout(orders: Sequence[str], num_shards: int,
     return layout
 
 
-def _intern_terms(cell: pa.Table, min_rows: int) -> pa.Table:
-    """Dictionary-encode a partition piece's term columns: the exchange
-    then ships int32 indices + the cell's DISTINCT term strings (the
-    SURVEY §1.5 interned-term payload — a hub term like rdf:type crosses
-    the wire once per cell instead of once per row, cutting exchange
-    bytes ~N×avg-multiplicity).  Exact: the dictionary carries the full
-    strings, so no hash-collision risk; the writer decodes before its
-    sort (``functions.exchange._undict``).  ``min_rows`` comes from
-    ``functions.exchange.intern_threshold()``: huge on a single node
-    (shared-memory object store — no bytes to save), 128 on real
-    multi-node clusters."""
-    if cell.num_rows < min_rows:
-        return cell
-    return pa.table({c: pc.dictionary_encode(cell[c].combine_chunks())
-                     for c in cell.column_names})
-
-
 def _split_block(tbl: pa.Table, orders: Tuple[str, ...], num_shards: int,
                  salts: Dict[str, int], done_keys: frozenset,
-                 intern_min: int = 1 << 62,
                  transform: Optional[Callable[[pa.Table], pa.Table]] = None):
     """Map side: one input block → ``transform(block)`` (if given) →
+    its term columns, dictionary ones decoded (``exchange._undict``) →
     one (possibly None) sub-table per partition not in ``done_keys``,
     in layout order, returned as separate objects so each write task
     fetches ONLY its partition.  One stable
@@ -300,7 +279,7 @@ def _split_block(tbl: pa.Table, orders: Tuple[str, ...], num_shards: int,
         tbl = transform(BlockAccessor.for_block(tbl).to_arrow())
     need = [c for c in ("g", "s", "p", "o")
             if any(c in _order_cols(o) for o in orders)]
-    tbl = tbl.select(need)
+    tbl = _undict(tbl.select(need))
     out = []
     for oi, order in enumerate(orders):
         cols = _order_cols(order)
@@ -328,9 +307,8 @@ def _split_block(tbl: pa.Table, orders: Tuple[str, ...], num_shards: int,
                 if (oi, shard, salt) in done_keys:
                     continue
                 lo, hi = int(bounds[j]), int(bounds[j + 1])
-                out.append(
-                    _intern_terms(sorted_tbl.slice(lo, hi - lo),
-                                  intern_min) if hi > lo else None)
+                out.append(sorted_tbl.slice(lo, hi - lo) if hi > lo
+                           else None)
     return tuple(out)
 
 
@@ -340,10 +318,13 @@ def _write_partition(out_dir: str, order: str, shard: int, salt: int,
     pieces → concat → :func:`_write_one_partition`."""
     t0 = time.perf_counter()
     parts = [p for p in parts if p is not None and p.num_rows]
-    # an empty partition still commits its (rows 0) manifest, so a
-    # resume does not run the whole input exchange again for it
-    tbl = _concat_mixed(parts) if parts else pa.table(
-        {c: pa.array([], pa.large_string()) for c in _order_cols(order)})
+    if parts:
+        tbl = pa.concat_tables(parts, promote_options="default")
+    else:
+        # an empty partition still commits its (rows 0) manifest, so a
+        # resume does not run the whole input exchange again for it
+        tbl = pa.table({c: pa.array([], pa.large_string())
+                        for c in _order_cols(order)})
     t1 = time.perf_counter()
     row = _write_one_partition(tbl, out_dir, order, shard, salt, distinct)
     row["t_concat_ms"] = round(1000 * (t1 - t0), 1)
@@ -392,8 +373,7 @@ def materialize_graph(nt_ds, out_dir: str, *,
     # nothing left to write: the input is never read
     pieces, _ = scatter(
         nt_ds, _split_block,
-        (tuple(orders), num_shards, salts, done_keys, intern_threshold(),
-         transform),
+        (tuple(orders), num_shards, salts, done_keys, transform),
         len(todo), fanin=fanin) if todo else ([], 0)
     write = _remote(_write_partition)
     rows = ray.get([write.remote(out_dir, orders[oi], shard, salt,

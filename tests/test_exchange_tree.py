@@ -3,9 +3,10 @@
 - hash_aggregate's fan-in merge tree bounds reduce-task argument
   counts and driver-held refs at ``fanin`` per level, independent of
   block count (>=10^3 blocks driven end-to-end here);
-- mixed dictionary/plain partials (per-piece interning threshold
-  straddled by block size) concat cleanly in the reduce — the exact
-  ArrowTypeError repro from round-3 ADVICE.
+- ``dedup_triples`` over two blocks keeps the min-url provenance and
+  counts duplicates across blocks, and an input of schema-less empty
+  blocks gives 0 rows;
+- every exchange piece is a plain Arrow table: no module encodes one.
 """
 
 import os
@@ -87,15 +88,12 @@ def test_hash_aggregate_1000_blocks_small_fanin(ray_session):
         assert expect[row["k"]] == row["v"]
 
 
-def test_dedup_triples_mixed_intern_partials(ray_session, monkeypatch):
-    """SOPHIA_INTERN_MIN_ROWS between the two blocks' distinct-key
-    counts -> one partial dictionary-encoded, one plain.  Round-3 code
-    raised ArrowTypeError('incompatible types') in the reduce concat."""
+def test_dedup_triples_mixed_intern_partials(ray_session):
+    """Two blocks of different sizes sharing 10 triples: the distinct
+    triples with each one's min url across the blocks."""
     import ray.data as rd
 
     from sophia_rs_ray.stages.dedup import dedup_triples
-
-    monkeypatch.setenv("SOPHIA_INTERN_MIN_ROWS", "50")
 
     big = pa.table({
         "s": pa.array([f"<http://ex/s{i}>" for i in range(120)]),
@@ -117,14 +115,16 @@ def test_dedup_triples_mixed_intern_partials(ray_session, monkeypatch):
     # provenance is the min url across duplicates
     dup_urls = out[out["s"].isin([f"<http://ex/s{i}>" for i in range(10)])]
     assert (dup_urls["url"] <= "http://page/9").all()
+    assert dict(zip(dup_urls["s"], dup_urls["url"])) == {
+        f"<http://ex/s{i}>": f"http://page/{i % 3}" for i in range(10)}
 
 
-def test_dedup_triples_mixed_intern_with_count(ray_session, monkeypatch):
+def test_dedup_triples_mixed_intern_with_count(ray_session):
+    """``n_dups`` sums a triple's duplicates across two blocks."""
     import ray.data as rd
 
     from sophia_rs_ray.stages.dedup import dedup_triples
 
-    monkeypatch.setenv("SOPHIA_INTERN_MIN_ROWS", "50")
     big = pa.table({
         "s": pa.array([f"<http://ex/s{i % 60}>" for i in range(200)]),
         "p": pa.array(["<http://ex/p>"] * 200),
@@ -144,19 +144,22 @@ def test_dedup_triples_mixed_intern_with_count(ray_session, monkeypatch):
     assert by_s["<http://ex/s0>"] == 200 // 60 + (1 if 0 < 200 % 60 else 0) + 3
 
 
-def test_concat_mixed_unifies_dictionary_and_plain():
-    from sophia_rs_ray.functions.exchange import _concat_mixed
+@pytest.mark.parametrize("with_count", [False, True])
+def test_dedup_triples_schema_less_empty_input(ray_session, with_count):
+    """An input whose only block went through ``map_batches`` as a
+    0-row block (Ray passes it on without a schema) dedups to 0 rows of
+    the output columns instead of failing the reduce."""
+    import ray.data as rd
 
-    plain = pa.table({"s": pa.array(["a", "b"], pa.large_string()),
-                      "n": pa.array([1, 2], pa.int64())})
-    interned = pa.table({
-        "s": pc.dictionary_encode(pa.array(["b", "c"], pa.large_string())),
-        "n": pa.array([3, 4], pa.int64()),
-    })
-    out = _concat_mixed([plain, interned])
-    assert out.num_rows == 4
-    assert not pa.types.is_dictionary(out["s"].type)
-    assert out["s"].to_pylist() == ["a", "b", "b", "c"]
+    from sophia_rs_ray.stages.dedup import dedup_triples
+
+    empty = rd.from_arrow(pa.table({
+        c: pa.array([], pa.string()) for c in ("s", "p", "o", "url")}))
+    out = dedup_triples(empty.map_batches(lambda b: b),
+                        with_count=with_count, num_partitions=2)
+    assert out.count() == 0
+    want = ["s", "p", "o", "url"] + (["n_dups"] if with_count else [])
+    assert out.schema().names == want
 
 
 def test_exchange_join_many_blocks_small_fanin(ray_session, tmp_path,
@@ -392,6 +395,23 @@ def test_only_scatter_builds_exchanges():
                       only=_GATED_MODULES) == []
     assert _offenders(
         r"\.groupby\(|map_groups\(|ray\.data\.aggregate") == []
+
+
+def test_exchange_payload_is_plain():
+    """Every exchange piece is a plain Arrow table: no interned payload,
+    row threshold or mixed-layout concat; only the token statistics
+    dictionary-encode (inside ``functions/text.py``), and only
+    ``exchange._undict`` asks whether a column is a dictionary."""
+    import inspect
+
+    from sophia_rs_ray.functions import exchange
+
+    assert _offenders(r"intern_threshold|_intern_terms|_concat_mixed|"
+                      r"SOPHIA_INTERN_MIN_ROWS") == []
+    assert _offenders(r"dictionary_encode", skip="functions/text.py") == []
+    assert _offenders(r"is_dictionary", skip="functions/exchange.py") == []
+    assert inspect.getsource(exchange).count("is_dictionary") == \
+        inspect.getsource(exchange._undict).count("is_dictionary") > 0
 
 
 def test_one_graph_fixpoint_module():

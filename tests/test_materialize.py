@@ -263,43 +263,70 @@ def test_sparql_over_materialized_graph(ray_session, tmp_path):
     assert got2 == ["<urn:b>", "<urn:c>"]
 
 
-def test_interned_exchange_equals_plain(ray_session, tmp_path,
-                                        monkeypatch):
-    """Force the interned (dictionary) exchange payload path — the
-    single-node default skips it (intern_threshold) — and assert the
-    materialized layouts are byte-equivalent to the plain-string path
-    (same digests, same row counts)."""
+def test_dictionary_input_equals_plain(ray_session, tmp_path):
+    """A Parquet input written from Arrow dictionaries reads back
+    dictionary-typed; ``materialize_graph`` and ``dedup_triples`` decode
+    it where its blocks enter the exchange and give the rows and digest
+    of the plain input, with large_string layout columns."""
+    import pyarrow.compute as pc
+    import ray
     import ray.data as rd
 
-    ds = rd.from_arrow(_nt_table()).repartition(3)
-    plain_dir = str(tmp_path / "plain")
-    materialize_graph(ds, plain_dir, num_shards=N_SHARDS, salts=SALTS,
-                      distinct=True)
-    monkeypatch.setenv("SOPHIA_INTERN_MIN_ROWS", "0")
-    interned_dir = str(tmp_path / "interned")
-    materialize_graph(ds, interned_dir, num_shards=N_SHARDS, salts=SALTS,
-                      distinct=True)
-    for order in ORDERS:
-        assert dataset_digest(plain_dir, order) == \
-            dataset_digest(interned_dir, order)
-
-
-def test_interned_dedup_equals_plain(ray_session, monkeypatch):
-    """dedup_triples with forced interned payloads returns the same
-    distinct triples as the plain path."""
-    import ray.data as rd
-
+    from sophia_rs_ray.functions.exchange import parquet_blocks
     from sophia_rs_ray.stages.dedup import dedup_triples
 
-    ds = rd.from_arrow(_nt_table()).repartition(3)
-    plain = sorted(
-        (r["s"], r["p"], r["o"])
-        for r in dedup_triples(ds, carry_min=()).take_all())
-    monkeypatch.setenv("SOPHIA_INTERN_MIN_ROWS", "0")
-    interned = sorted(
-        (r["s"], r["p"], r["o"])
-        for r in dedup_triples(ds, carry_min=()).take_all())
-    assert plain == interned and len(plain) == 200  # dup collapsed
+    plain = _nt_table()
+    path = str(tmp_path / "dict.parquet")
+    pq.write_table(pa.table({c: pc.dictionary_encode(plain[c])
+                             for c in plain.column_names}), path)
+    dict_ds = rd.read_parquet(path)
+    assert all(pa.types.is_dictionary(t) for t in dict_ds.schema().types)
+
+    plain_dir, dict_dir = str(tmp_path / "plain"), str(tmp_path / "dict")
+    for ds, out in ((rd.from_arrow(plain).repartition(3), plain_dir),
+                    (dict_ds, dict_dir)):
+        rep = materialize_graph(ds, out, num_shards=N_SHARDS, salts=SALTS)
+        assert all(rep[o]["rows"] == plain.num_rows for o in ORDERS)
+    for order in ORDERS:
+        assert dataset_digest(plain_dir, order) == \
+            dataset_digest(dict_dir, order)
+        for d, _dirs, files in os.walk(os.path.join(dict_dir, order)):
+            for f in files:
+                if f.endswith(".parquet"):
+                    sch = pq.read_schema(os.path.join(d, f))
+                    assert set(sch.types) == {pa.large_string()}
+
+    def distinct(src):
+        t = pa.concat_tables(ray.get(
+            dedup_triples(src, carry_min=()).to_arrow_refs()))
+        assert set(t.schema.types) == {pa.large_string()}
+        return sorted(zip(t["s"].to_pylist(), t["p"].to_pylist(),
+                          t["o"].to_pylist()))
+
+    want = distinct(rd.from_arrow(plain))
+    assert len(want) == 200   # the one duplicate row collapsed
+    assert distinct(dict_ds) == distinct(parquet_blocks(path)) == want
+
+
+def test_layout_terms_have_dictionary_pages(graph_dir):
+    """Terms are interned on disk: every s/p/o column chunk of a written
+    layout is stored with a Parquet dictionary page."""
+    out, _ = graph_dir
+    chunks = 0
+    for order in ORDERS:
+        for d, _dirs, files in os.walk(os.path.join(out, order)):
+            for f in files:
+                if not f.endswith(".parquet"):
+                    continue
+                meta = pq.ParquetFile(os.path.join(d, f)).metadata
+                for i in range(meta.num_row_groups):
+                    rg = meta.row_group(i)
+                    for j in range(rg.num_columns):
+                        col = rg.column(j)
+                        assert col.path_in_schema in ("s", "p", "o")
+                        assert col.has_dictionary_page, (f, col)
+                        chunks += 1
+    assert chunks >= 3 * len(ORDERS)
 
 
 @pytest.mark.parametrize("seed", range(8))
